@@ -5,10 +5,17 @@ tied to the transition table as its invariant distribution; the gradient
 contribution of that tie is ignored in the M-step, which is the standard
 approximation. The M-step maximizes expected multinomial log-likelihoods
 over the free interaction coordinates by Fisher scoring; zeroed coordinates
-stay exactly zero because the free set is an unconstrained chart. A damping
-guard interpolates back toward the previous iterate whenever a full M-step
-would decrease the observed-data log-likelihood, which keeps the recorded
-trace monotone despite the ignored initial-law term.
+stay exactly zero because the free set is an unconstrained chart. The score
+and information are assembled block by block over the conditioning states
+(see _MStepProblem.gradient_and_info): with n_cond states of m contrasts
+each (k = n_cond m coordinates) a scoring step costs
+O(n_cond k^2 + n_cond m^3) instead of the O(k^3) of inverting the k x k
+chart Jacobian.
+
+A damping guard interpolates back toward the previous iterate whenever a
+full M-step would decrease the observed-data log-likelihood, which keeps the
+recorded trace monotone despite the ignored initial-law term. When no damped
+step avoids a decrease, the fit stops and reports that it did not converge.
 """
 
 from __future__ import annotations
@@ -104,39 +111,38 @@ class _MStepProblem:
         self.mask = np.asarray(mask, dtype=bool)
         self.free = ~self.mask.ravel()
         self.m = space.n_columns
-        self._kron = np.kron(space.moebius, np.eye(self.m))
 
     def solve_states(self, theta_values: np.ndarray, warm_x: np.ndarray | None) -> np.ndarray:
         eta = self.space.zeta @ theta_values
         return _invert_rows(self.space, eta, x0=warm_x)
 
-    def probs(self, x: np.ndarray) -> np.ndarray:
-        return _softmax_rows(x)
-
     def loglik(self, probs: np.ndarray) -> float:
         return float(np.sum(self.counts * np.log(probs)))
 
     def gradient_and_info(self, x: np.ndarray, probs: np.ndarray):
-        """Score and expected information in interaction coordinates."""
-        n_cond = probs.shape[0]
-        k = n_cond * self.m
-        jac = np.zeros((k, k))
-        g_x = np.empty(k)
-        info_x = np.zeros((k, k))
-        blocks = _jacobian_rows(self.space, probs)
+        """Score and expected information in interaction coordinates.
+
+        With J_e the contrast Jacobian of conditioning state e, the chart map
+        has inverse blockdiag(J_e^-1) (zeta kron I_m), so both quantities come
+        from per-state m x m blocks: h_e = J_e^-T g_e and
+        W_e = J_e^-T I_e J_e^-1, then g = zeta^T H and
+        info[(c, p), (d, q)] = sum_e zeta[e, c] W_e[p, q] zeta[e, d].
+        With I_e = t_e (diag(p_e) - p_e p_e^T) and u_e = J_e^-T p_e,
+        W_e = t_e (J_e^-T diag(p_e) J_e^-1 - u_e u_e^T).
+        """
+        n_cond, m = probs.shape[0], self.m
+        j_inv = np.linalg.inv(_jacobian_rows(self.space, probs))
         p_free = probs[:, 1:]
-        for e in range(n_cond):
-            lo = e * self.m
-            hi = lo + self.m
-            jac[lo:hi, lo:hi] = blocks[e]
-            g_x[lo:hi] = self.counts[e][1:] - self.totals[e] * p_free[e]
-            info_x[lo:hi, lo:hi] = self.totals[e] * (
-                np.diag(p_free[e]) - np.outer(p_free[e], p_free[e])
-            )
-        a = self._kron @ jac
-        a_inv = np.linalg.inv(a)
-        g_theta = a_inv.T @ g_x
-        info_theta = a_inv.T @ info_x @ a_inv
+        g_x = self.counts[:, 1:] - self.totals[:, None] * p_free
+        h = (g_x[:, None, :] @ j_inv)[:, 0, :]
+        u = (p_free[:, None, :] @ j_inv)[:, 0, :]
+        w = j_inv.transpose(0, 2, 1) @ (p_free[:, :, None] * j_inv)
+        w = self.totals[:, None, None] * (w - u[:, :, None] * u[:, None, :])
+        zeta = self.space.zeta
+        g_theta = (zeta.T @ h).ravel()
+        pairs = (zeta[:, :, None] * zeta[:, None, :]).reshape(n_cond, -1)
+        info = (pairs.T @ w.reshape(n_cond, -1)).reshape(n_cond, n_cond, m, m)
+        info_theta = info.transpose(0, 2, 1, 3).reshape(n_cond * m, n_cond * m)
         return g_theta, info_theta
 
 
@@ -163,7 +169,7 @@ def constrained_m_step(
     theta = np.zeros_like(problem.mask, dtype=float) if warm is None else np.array(warm)
     theta[problem.mask] = 0.0
     x = problem.solve_states(theta, None)
-    probs = problem.probs(x)
+    probs = _softmax_rows(x)
     value = problem.loglik(probs)
     if not problem.free.any():
         return theta, _floored(probs)
@@ -196,7 +202,7 @@ def constrained_m_step(
             except NumericalError:
                 scale *= 0.5
                 continue
-            probs_trial = problem.probs(x_trial)
+            probs_trial = _softmax_rows(x_trial)
             value_trial = problem.loglik(probs_trial)
             if value_trial > value:
                 theta, x, probs, value = trial, x_trial, probs_trial, value_trial
@@ -361,7 +367,7 @@ def _run_em(
             )
             halvings += 1
         if candidate.log_lik < state.log_lik - guard:
-            converged = True
+            # no damped step keeps the likelihood from falling: a stall
             break
         gain = candidate.log_lik - state.log_lik
         state, gamma, xi = candidate, gamma_new, xi_new

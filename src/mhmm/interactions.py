@@ -354,10 +354,6 @@ def _softmax_rows(x_free: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=1, keepdims=True)
 
 
-def _softmax_with_base(x_free: np.ndarray) -> np.ndarray:
-    return _softmax_rows(np.asarray(x_free, dtype=float)[None, :])[0]
-
-
 def _contrasts_of_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     return np.log(p @ space.marginalizer.T) @ space.contrast.T
 
@@ -371,10 +367,6 @@ def _jacobian_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     eye = np.eye(p.shape[1])[None, :, 1:]
     dp = p[:, :, None] * (eye - p[:, None, 1:])
     return dlog @ dp
-
-
-def _contrast_jacobian(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
-    return _jacobian_rows(space, np.asarray(p, dtype=float)[None, :])[0]
 
 
 def _invert_rows(
@@ -434,13 +426,6 @@ def _invert_rows(
         f"residual {worst:.3e}",
         residual=worst,
     )
-
-
-def _invert_contrasts(
-    space: InteractionSpace, target: np.ndarray, x0: np.ndarray | None = None
-) -> np.ndarray:
-    x0 = None if x0 is None else np.asarray(x0, dtype=float)[None, :]
-    return _invert_rows(space, np.asarray(target, dtype=float)[None, :], x0=x0)[0]
 
 
 def contrast_of_distribution(space: InteractionSpace, p: np.ndarray) -> np.ndarray:

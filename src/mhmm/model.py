@@ -8,6 +8,7 @@ of the transition table, so a model is fully determined by its two tables.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import hashlib
 import io
@@ -240,27 +241,39 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
     return np.array([states[i] for i in path], dtype=int)
 
 
+def _choice_tables(probs: np.ndarray) -> np.ndarray:
+    """Per-row cumulative tables, normalized as Generator.choice does."""
+    cdf = np.cumsum(probs, axis=-1)
+    return cdf / cdf[..., -1:]
+
+
 def simulate(model: MhmmModel, length: int, seed: int = 0):
     """Draw a latent path and observations; deterministic for a given seed.
 
-    Returns (latent, series) with latent a (T, r) array of 1-based
-    categories and series an ObservedSeries.
+    The draws consume the generator's stream exactly as per-step
+    ``rng.choice`` calls would: one uniform per chain step, the first for
+    the initial state, then one per emission. Returns (latent, series) with
+    latent a (T, r) array of 1-based categories and series an
+    ObservedSeries.
     """
     if length < 1:
         raise DomainError(f"series length must be positive, got {length}")
     rng = np.random.default_rng(seed)
-    n = model.latent_scheme.n_states
-    latent_idx = np.empty(length, dtype=int)
-    latent_idx[0] = rng.choice(n, p=model.initial)
-    for t in range(1, length):
-        latent_idx[t] = rng.choice(n, p=model.transition[latent_idx[t - 1]])
-    obs_idx = np.array(
-        [rng.choice(model.obs_scheme.n_states, p=model.emission[i]) for i in latent_idx]
-    )
-    latent_states = model.latent_scheme.states
-    obs_states = model.obs_scheme.states
-    latent = np.array([latent_states[i] for i in latent_idx], dtype=int)
-    observed = np.array([obs_states[i] for i in obs_idx], dtype=int)
+    chain_u = rng.random(length).tolist()
+    emit_u = rng.random(length)
+    # the chain is sequential: per-step lookups go through Python lists
+    start = _choice_tables(model.initial).tolist()
+    rows = _choice_tables(model.transition).tolist()
+    path = [bisect.bisect_right(start, chain_u[0])]
+    for u in chain_u[1:]:
+        path.append(bisect.bisect_right(rows[path[-1]], u))
+    latent_idx = np.array(path)
+    obs_idx = np.empty(length, dtype=int)
+    for i, cdf in enumerate(_choice_tables(model.emission)):
+        at = np.flatnonzero(latent_idx == i)
+        obs_idx[at] = np.searchsorted(cdf, emit_u[at], side="right")
+    latent = np.array(model.latent_scheme.states, dtype=int)[latent_idx]
+    observed = np.array(model.obs_scheme.states, dtype=int)[obs_idx]
     return latent, ObservedSeries(model.obs_scheme, observed)
 
 

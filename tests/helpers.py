@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from mhmm import BASELINE, MhmmModel, VariableScheme
+from mhmm.interactions import _jacobian_rows
 
 
 def subsets(items):
@@ -112,6 +113,29 @@ def brute_factorial(space, contrasts):
             j = cond.state_index(cell)
             out[i] += (-1) ** (len(q) - len(sub)) * contrasts[j]
     return out
+
+
+def dense_gradient_and_info(space, counts, probs):
+    """M-step score and expected information in interaction coordinates,
+    by inverting the full k x k chart Jacobian kron(moebius, I) blockdiag(J_e)."""
+    counts = np.asarray(counts, dtype=float)
+    totals = counts.sum(axis=1)
+    n_cond, m = probs.shape[0], space.n_columns
+    k = n_cond * m
+    jac = np.zeros((k, k))
+    g_x = np.empty(k)
+    info_x = np.zeros((k, k))
+    blocks = _jacobian_rows(space, probs)
+    p_free = probs[:, 1:]
+    for e in range(n_cond):
+        lo = e * m
+        hi = lo + m
+        jac[lo:hi, lo:hi] = blocks[e]
+        g_x[lo:hi] = counts[e][1:] - totals[e] * p_free[e]
+        info_x[lo:hi, lo:hi] = totals[e] * (np.diag(p_free[e]) - np.outer(p_free[e], p_free[e]))
+    a = np.kron(space.moebius, np.eye(m)) @ jac
+    a_inv = np.linalg.inv(a)
+    return a_inv.T @ g_x, a_inv.T @ info_x @ a_inv
 
 
 # -- conditional independence checks on probability tables -------------------

@@ -1,3 +1,4 @@
+import itertools
 import subprocess
 import sys
 
@@ -75,6 +76,30 @@ def test_simulate_then_fit(tmp_path, tiny_model_file, capsys):
     assert "model tiny" in report
     fitted = read_model((fit_dir / "tiny.model").read_text())
     assert fitted.obs_scheme == VariableScheme.of(("F1", 3))
+
+
+def test_stalled_fit_reports_not_converged(tmp_path, tiny_model_file, monkeypatch):
+    # every E-step reports a far lower likelihood than the one before, so no
+    # damped EM step is ever accepted
+    calls = itertools.count()
+    real = mhmm.fit.forward_backward
+
+    def sinking(model, series):
+        gamma, xi, log_lik = real(model, series)
+        return gamma, xi, log_lik - 1e6 * next(calls)
+
+    monkeypatch.setattr(mhmm.fit, "forward_backward", sinking)
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--spec", str(tiny_model_file), "--length", "100", "--out", str(sim_dir)])
+    spec_path = write_spec(tmp_path, "tiny", TINY)
+    fit_dir = tmp_path / "fit"
+    rc = main(
+        ["fit", "--spec", str(spec_path), "--data", str(sim_dir / "series.csv"), "--out", str(fit_dir)]
+    )
+    assert rc == 0
+    report = (fit_dir / "tiny.fit.txt").read_text()
+    assert "converged no" in report
+    assert "iterations 1" in report
 
 
 def test_fit_outputs_are_deterministic(tmp_path, tiny_model_file):

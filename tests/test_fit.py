@@ -20,9 +20,9 @@ from mhmm import (
     simulate,
     table_from_interactions,
 )
-from mhmm.fit import canonical_state_orders, relabel_states
-from mhmm.interactions import InteractionTable
-from helpers import random_model, random_rows
+from mhmm.fit import _MStepProblem, canonical_state_orders, relabel_states
+from mhmm.interactions import InteractionTable, _softmax_rows
+from helpers import dense_gradient_and_info, random_model, random_rows
 
 LAT = VariableScheme.of(("E1", 2), ("E2", 2))
 OBS = VariableScheme.of(("F1", 3), ("F2", 2))
@@ -100,6 +100,71 @@ def test_m_step_rejects_bad_counts():
         constrained_m_step(DSPACE, np.zeros((4, 4)), np.zeros((4, 3), dtype=bool))
     with pytest.raises(DomainError):
         constrained_m_step(DSPACE, np.ones((3, 4)), np.zeros((4, 3), dtype=bool))
+
+
+# The block and dense forms sum the same float64 products in different
+# orders; 1e-10 (about 5e5 machine epsilons) of max-norm relative error
+# covers that reassociation at these sizes and nothing more.
+SCORING_RTOL = 1e-10
+SCORING_SPACES = {
+    "em-theta-4x6": InteractionSpace(OBS, LAT, "theta"),
+    "em-delta-4x4": DSPACE,
+    "theta-2^3x3^3": InteractionSpace(
+        VariableScheme.of(("F1", 3), ("F2", 3), ("F3", 3)),
+        VariableScheme.of(("E1", 2), ("E2", 2), ("E3", 2)),
+        "theta",
+    ),
+    "ternary-condition": InteractionSpace(
+        VariableScheme.of(("F1", 2), ("F2", 3)),
+        VariableScheme.of(("E1", 3), ("E2", 2)),
+        "theta",
+    ),
+}
+
+
+def scoring_point(space, rng):
+    n_cond, n_cells = space.condition.n_states, space.response.n_states
+    counts = rng.integers(1, 40, size=(n_cond, n_cells)).astype(float)
+    probs = random_rows(rng, n_cond, n_cells, floor=1e-3)
+    return counts, np.log(probs[:, 1:] / probs[:, :1]), probs
+
+
+def max_rel_error(value, reference):
+    return float(np.max(np.abs(value - reference)) / np.max(np.abs(reference)))
+
+
+@pytest.mark.parametrize("name", SCORING_SPACES)
+def test_scoring_matches_dense_oracle(name, rng):
+    space = SCORING_SPACES[name]
+    counts, x, probs = scoring_point(space, rng)
+    problem = _MStepProblem(space, counts, np.zeros((space.condition.n_states, space.n_columns)))
+    g, info = problem.gradient_and_info(x, probs)
+    g_ref, info_ref = dense_gradient_and_info(space, counts, probs)
+    assert g.shape == g_ref.shape and info.shape == info_ref.shape
+    assert max_rel_error(g, g_ref) <= SCORING_RTOL
+    assert max_rel_error(info, info_ref) <= SCORING_RTOL
+
+
+@pytest.mark.parametrize("name", SCORING_SPACES)
+def test_scoring_gradient_matches_central_differences(name, rng):
+    space = SCORING_SPACES[name]
+    counts, _, _ = scoring_point(space, rng)
+    mask = rng.random((space.condition.n_states, space.n_columns)) < 0.3
+    problem = _MStepProblem(space, counts, mask)
+    theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
+
+    def objective(values):
+        return problem.loglik(_softmax_rows(problem.solve_states(values, None)))
+
+    x = problem.solve_states(theta, None)
+    g, _ = problem.gradient_and_info(x, _softmax_rows(x))
+    h = 1e-5
+    numeric = []
+    for j in np.flatnonzero(problem.free):
+        step = np.zeros(mask.shape)
+        step.flat[j] = h
+        numeric.append((objective(theta + step) - objective(theta - step)) / (2 * h))
+    assert g[problem.free] == approx(np.array(numeric), rel=1e-6, abs=1e-6)
 
 
 def test_fit_options_validation():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -157,6 +158,38 @@ def test_simulate_long_run_frequencies():
     lat, _ = simulate(m, 20_000, seed=5)
     freq = np.mean(lat[:, 0] == 1)
     assert freq == approx(m.initial[0], abs=0.02)
+
+
+def _simulation_digest(model, length, seed):
+    latent, series = simulate(model, length, seed=seed)
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(latent, dtype="<i8").tobytes())
+    h.update(np.ascontiguousarray(series.data, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
+def _two_by_two_model():
+    latent = VariableScheme.of(("E1", 2), ("E2", 2))
+    obs = VariableScheme.of(("F1", 3), ("F2", 2))
+    transition = np.kron(
+        np.array([[0.8, 0.2], [0.3, 0.7]]), np.array([[0.75, 0.25], [0.2, 0.8]])
+    )
+    emission = np.random.default_rng(99).dirichlet(np.ones(6), size=4)
+    return MhmmModel.from_tables(latent, obs, transition, emission)
+
+
+@pytest.mark.parametrize(
+    "make_model, length, seed, digest",
+    [
+        (two_state_model, 500, 42, "a5fa2a677b975e6b8f62338b638e4e6e20be12063adf549b16430f25a421bd14"),
+        (_two_by_two_model, 3000, 2024, "42818a6ffc20f85aefce76b72560772df41cf4c46fa428184e943578dd5668ec"),
+    ],
+    ids=["two-state", "two-by-two"],
+)
+def test_simulate_golden_stream(make_model, length, seed, digest):
+    """The random stream of simulate is pinned: data sets simulated from a
+    seed, and every result fitted on them, depend on it."""
+    assert _simulation_digest(make_model(), length, seed) == digest
 
 
 def test_marginal_model_on_product_chain(rng):
