@@ -4,13 +4,16 @@ The E-step runs the scaled forward-backward recursions with the initial law
 tied to the transition table as its invariant distribution; the gradient
 contribution of that tie is ignored in the M-step, which is the standard
 approximation. The M-step maximizes expected multinomial log-likelihoods
-over the free interaction coordinates by Fisher scoring; zeroed coordinates
-stay exactly zero because the free set is an unconstrained chart. The score
-and information are assembled block by block over the conditioning states
+over the free interaction coordinates by a Newton step with the observed
+information, with an expected-information (Fisher scoring) fallback where
+the observed information is not positive definite; zeroed coordinates stay
+exactly zero because the free set is an unconstrained chart. The marginal
+log-linear chart is not canonical, so the expected information is not the
+Hessian and scoring alone converges only linearly. The score and both
+informations are assembled block by block over the conditioning states
 (see _MStepProblem.gradient_and_info): with n_cond states of m contrasts
-each (k = n_cond m coordinates) a scoring step costs
-O(n_cond k^2 + n_cond m^3) instead of the O(k^3) of inverting the k x k
-chart Jacobian.
+each (k = n_cond m coordinates) a step costs O(n_cond k^2 + n_cond m^3)
+plus the k x k solve in the free coordinates.
 
 A damping guard interpolates back toward the previous iterate whenever a
 full M-step would decrease the observed-data log-likelihood, which keeps the
@@ -42,7 +45,6 @@ MSTEP_GTOL = 1e-7
 MSTEP_GTOL_ACCEPT = 1e-5
 MSTEP_MAX_ITER = 200
 MSTEP_MAX_HALVINGS = 25
-SCORING_FAILURE_LIMIT = 3
 
 
 @dataclass
@@ -119,7 +121,7 @@ class _MStepProblem:
     def loglik(self, probs: np.ndarray) -> float:
         return float(np.sum(self.counts * np.log(probs)))
 
-    def gradient_and_info(self, x: np.ndarray, probs: np.ndarray):
+    def gradient_and_info(self, x: np.ndarray, probs: np.ndarray, _curvature: bool = False):
         """Score and expected information in interaction coordinates.
 
         With J_e the contrast Jacobian of conditioning state e, the chart map
@@ -129,6 +131,10 @@ class _MStepProblem:
         info[(c, p), (d, q)] = sum_e zeta[e, c] W_e[p, q] zeta[e, d].
         With I_e = t_e (diag(p_e) - p_e p_e^T) and u_e = J_e^-T p_e,
         W_e = t_e (J_e^-T diag(p_e) J_e^-1 - u_e u_e^T).
+
+        With _curvature the blocks also carry the second-order term of the
+        chart (see _curvature_blocks), which makes info the observed
+        information, the negative Hessian of the objective.
         """
         n_cond, m = probs.shape[0], self.m
         j_inv = np.linalg.inv(_jacobian_rows(self.space, probs))
@@ -138,12 +144,70 @@ class _MStepProblem:
         u = (p_free[:, None, :] @ j_inv)[:, 0, :]
         w = j_inv.transpose(0, 2, 1) @ (p_free[:, :, None] * j_inv)
         w = self.totals[:, None, None] * (w - u[:, :, None] * u[:, None, :])
+        if _curvature:
+            w += j_inv.transpose(0, 2, 1) @ self._curvature_blocks(probs, h) @ j_inv
         zeta = self.space.zeta
         g_theta = (zeta.T @ h).ravel()
         pairs = (zeta[:, :, None] * zeta[:, None, :]).reshape(n_cond, -1)
         info = (pairs.T @ w.reshape(n_cond, -1)).reshape(n_cond, n_cond, m, m)
         info_theta = info.transpose(0, 2, 1, 3).reshape(n_cond * m, n_cond * m)
         return g_theta, info_theta
+
+    def _curvature_blocks(self, probs: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Hessian in free log-probabilities x_e of sum_i h_e[i] eta_e[i](x_e).
+
+        eta_e = C log(M p_e), so with mg_e = M p_e, G_e = M dp_e/dx_e,
+        c_e = C^T h_e and w_e = M^T (c_e / mg_e) over all cells, this is
+        S_e - G_e^T diag(c_e / mg_e^2) G_e, where over free cells
+        S_e[a, b] = d_ab p_a (w_a - wbar) - p_a p_b (w_a + w_b - 2 wbar) and
+        wbar = p_e . w_e = sum(c_e) = 0, since every contrast row sums to
+        zero. Sandwiched by J_e^-1 it is the observed minus the expected
+        information of state e; it vanishes where the score does.
+        """
+        marg, contrast = self.space.marginalizer, self.space.contrast
+        p_free = probs[:, 1:]
+        mg = probs @ marg.T
+        dp = probs[:, :, None] * (np.eye(probs.shape[1])[None, :, 1:] - p_free[:, None, :])
+        g = marg @ dp
+        ratio = (h @ contrast) / mg
+        pw = p_free * (ratio @ marg[:, 1:])
+        s = -(pw[:, :, None] * p_free[:, None, :] + p_free[:, :, None] * pw[:, None, :])
+        diag = np.arange(self.m)
+        s[:, diag, diag] += pw
+        return s - g.transpose(0, 2, 1) @ ((ratio / mg)[:, :, None] * g)
+
+
+def _line_search(problem: _MStepProblem, theta, x, value, step, gnorm):
+    """Halve step until the objective rises, at most MSTEP_MAX_HALVINGS times.
+
+    Returns (theta, x, probs, value, scored) at the accepted point, where
+    scored is its (score, observed information) if the flat-objective test
+    had to compute them and None otherwise; returns None if no step is
+    accepted.
+    """
+    flat_guard = 1e-12 * (1.0 + abs(value))
+    scale = 1.0
+    for _ in range(MSTEP_MAX_HALVINGS):
+        trial = theta.copy()
+        trial.ravel()[problem.free] += scale * step
+        try:
+            x_trial = problem.solve_states(trial, x)
+        except NumericalError:
+            scale *= 0.5
+            continue
+        probs_trial = _softmax_rows(x_trial)
+        value_trial = problem.loglik(probs_trial)
+        if value_trial > value:
+            return trial, x_trial, probs_trial, value_trial, None
+        if scale == 1.0 and value_trial >= value - flat_guard:
+            # objective flat at float precision: take the full step if it
+            # still shrinks the score, which is where Newton endgames live
+            scored = problem.gradient_and_info(x_trial, probs_trial, _curvature=True)
+            if np.max(np.abs(scored[0][problem.free])) < 0.5 * gnorm:
+                return trial, x_trial, probs_trial, value_trial, scored
+            del scored
+        scale *= 0.5
+    return None
 
 
 def constrained_m_step(
@@ -157,9 +221,15 @@ def constrained_m_step(
     """Maximize sum(counts * log p) subject to zeroed interaction coordinates.
 
     Returns (theta_values, probs). With no active constraints the solution
-    is the row-normalized count table. Otherwise Fisher scoring runs on the
-    free coordinates with step halving, falling back to gradient ascent
-    after repeated scoring failures.
+    is the row-normalized count table. Otherwise a Newton iteration runs on
+    the free coordinates with step halving: the step uses the observed
+    information where its free block is positive definite (a Cholesky
+    factorization succeeds) and the ridged expected information otherwise.
+    When that step's line search fails, one gradient step is tried from the
+    same point; when that fails too, the iteration stops, since retrying
+    from an unchanged point would repeat the same computation. Raises
+    NumericalError unless the score norm in the free coordinates ends below
+    max(gtol, MSTEP_GTOL_ACCEPT).
     """
     problem = _MStepProblem(space, counts, mask)
     if not problem.mask.any():
@@ -174,58 +244,43 @@ def constrained_m_step(
     if not problem.free.any():
         return theta, _floored(probs)
 
-    failures = 0
-    for _ in range(max_iter):
-        g_theta, info_theta = problem.gradient_and_info(x, probs)
-        g_free = g_theta[problem.free]
+    free = problem.free
+    scored = None
+    for iteration in range(max_iter + 1):
+        if scored is None:
+            scored = problem.gradient_and_info(x, probs, _curvature=True)
+        g_theta, info = scored
+        scored = None
+        g_free = g_theta[free]
         gnorm = float(np.max(np.abs(g_free)))
-        if gnorm < gtol:
-            return theta, _floored(probs)
-        info_free = info_theta[np.ix_(problem.free, problem.free)]
-        step = None
-        if failures < SCORING_FAILURE_LIMIT:
-            ridge = 1e-10 * (1.0 + np.trace(info_free) / info_free.shape[0])
-            try:
-                step = np.linalg.solve(info_free + ridge * np.eye(info_free.shape[0]), g_free)
-            except np.linalg.LinAlgError:
-                step = None
-        if step is None:
-            step = g_free / max(gnorm, 1.0)
-        accepted = False
-        flat_guard = 1e-12 * (1.0 + abs(value))
-        scale = 1.0
-        for _ in range(MSTEP_MAX_HALVINGS):
-            trial = theta.copy()
-            trial.ravel()[problem.free] += scale * step
-            try:
-                x_trial = problem.solve_states(trial, x)
-            except NumericalError:
-                scale *= 0.5
-                continue
-            probs_trial = _softmax_rows(x_trial)
-            value_trial = problem.loglik(probs_trial)
-            if value_trial > value:
-                theta, x, probs, value = trial, x_trial, probs_trial, value_trial
-                accepted = True
+        if gnorm < gtol or iteration == max_iter:
+            break
+        # keep one k x k matrix alive at a time: the largest space sets peak memory
+        info_free = info[np.ix_(free, free)]
+        del info
+        try:
+            np.linalg.cholesky(info_free)
+        except np.linalg.LinAlgError:
+            del info_free
+            _, info = problem.gradient_and_info(x, probs)
+            info_free = info[np.ix_(free, free)]
+            del info
+            n = info_free.shape[0]
+            info_free.flat[:: n + 1] += 1e-10 * (1.0 + np.trace(info_free) / n)
+        try:
+            steps = [np.linalg.solve(info_free, g_free)]
+        except np.linalg.LinAlgError:
+            steps = []
+        del info_free
+        steps.append(g_free / max(gnorm, 1.0))
+        for step in steps:
+            moved = _line_search(problem, theta, x, value, step, gnorm)
+            if moved is not None:
                 break
-            if scale == 1.0 and value_trial >= value - flat_guard:
-                # objective flat at float precision: take the full step if it
-                # still shrinks the score, which is where Newton endgames live
-                g_trial, _ = problem.gradient_and_info(x_trial, probs_trial)
-                if np.max(np.abs(g_trial[problem.free])) < 0.5 * gnorm:
-                    theta, x, probs, value = trial, x_trial, probs_trial, value_trial
-                    accepted = True
-                    break
-            scale *= 0.5
-        if accepted:
-            failures = 0
-        else:
-            failures += 1
-            if failures > 2 * SCORING_FAILURE_LIMIT:
-                break
-    g_theta, _ = problem.gradient_and_info(x, probs)
-    gnorm = float(np.max(np.abs(g_theta[problem.free])))
-    if gnorm < MSTEP_GTOL_ACCEPT:
+        if moved is None:
+            break
+        theta, x, probs, value, scored = moved
+    if gnorm < max(gtol, MSTEP_GTOL_ACCEPT):
         return theta, _floored(probs)
     raise NumericalError(
         f"constrained M-step stalled with gradient norm {gnorm:.3e}", residual=gnorm

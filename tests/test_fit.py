@@ -10,6 +10,7 @@ from mhmm import (
     InteractionSpace,
     MhmmModel,
     VariableScheme,
+    additivity_constraints,
     constrained_m_step,
     count_free_parameters,
     em_fit,
@@ -20,7 +21,13 @@ from mhmm import (
     simulate,
     table_from_interactions,
 )
-from mhmm.fit import _MStepProblem, canonical_state_orders, relabel_states
+from mhmm.fit import (
+    MSTEP_GTOL,
+    MSTEP_MAX_HALVINGS,
+    _MStepProblem,
+    canonical_state_orders,
+    relabel_states,
+)
 from mhmm.interactions import InteractionTable, _softmax_rows
 from helpers import dense_gradient_and_info, random_model, random_rows
 
@@ -165,6 +172,69 @@ def test_scoring_gradient_matches_central_differences(name, rng):
         step.flat[j] = h
         numeric.append((objective(theta + step) - objective(theta - step)) / (2 * h))
     assert g[problem.free] == approx(np.array(numeric), rel=1e-6, abs=1e-6)
+
+
+# Central differences with step 1e-5 carry O(h^2) truncation and about
+# eps * |g| / h rounding, both far below 1e-6 of the largest entry.
+OBSERVED_INFO_RTOL = 1e-6
+
+
+@pytest.mark.parametrize("name", SCORING_SPACES)
+def test_observed_information_matches_central_differences(name, rng):
+    space = SCORING_SPACES[name]
+    counts, _, _ = scoring_point(space, rng)
+    mask = rng.random((space.condition.n_states, space.n_columns)) < 0.3
+    problem = _MStepProblem(space, counts, mask)
+    theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
+    x = problem.solve_states(theta, None)
+    free = np.flatnonzero(problem.free)
+
+    def score(values):
+        probs = _softmax_rows(problem.solve_states(values, x))
+        return problem.gradient_and_info(None, probs)[0][free]
+
+    _, info = problem.gradient_and_info(x, _softmax_rows(x), _curvature=True)
+    h = 1e-5
+    columns = []
+    for j in free:
+        step = np.zeros(mask.shape)
+        step.flat[j] = h
+        columns.append((score(theta - step) - score(theta + step)) / (2 * h))
+    assert max_rel_error(info[np.ix_(free, free)], np.array(columns).T) <= OBSERVED_INFO_RTOL
+
+
+def test_m_step_stops_after_one_newton_and_one_gradient_failure(rng, monkeypatch):
+    # gtol=0 runs the iteration into the float floor, where line searches
+    # fail; from an unchanged point a retry would repeat the same trials
+    counts = rng.integers(5, 30, size=(4, 4)).astype(float)
+    mask = np.zeros((4, 3), dtype=bool)
+    mask[:, 2] = True
+    trials = []
+    solve_states = _MStepProblem.solve_states
+
+    def recording(self, theta_values, warm_x):
+        trials.append(theta_values.copy())
+        return solve_states(self, theta_values, warm_x)
+
+    monkeypatch.setattr(_MStepProblem, "solve_states", recording)
+    theta, _ = constrained_m_step(DSPACE, counts, mask, gtol=0.0)
+    reached = next(i for i, t in enumerate(trials) if np.array_equal(t, theta))
+    assert len(trials) - 1 - reached <= 2 * MSTEP_MAX_HALVINGS
+
+
+def test_m_step_converges_on_additivity_far_from_additive_rows():
+    # Dirichlet(2) rows sit far from any additive table, where a
+    # linear-rate iteration stalls just above the acceptance threshold
+    latent = VariableScheme.of(("E1", 2), ("E2", 2))
+    observed = VariableScheme.of(*[(f"F{i}", 3) for i in range(1, 5)])
+    space = InteractionSpace(observed, latent, "theta")
+    counts = 500.0 * np.random.default_rng(0).dirichlet(np.full(observed.n_states, 2.0), 4)
+    mask = additivity_constraints(latent, observed, "emission").mask(space)
+    theta, probs = constrained_m_step(space, counts, mask)
+    assert np.all(theta[mask] == 0.0)
+    problem = _MStepProblem(space, counts, mask)
+    g, _ = problem.gradient_and_info(None, probs)
+    assert np.max(np.abs(g[problem.free])) < MSTEP_GTOL
 
 
 def test_fit_options_validation():

@@ -167,3 +167,13 @@ def test_model_table_validates_membership():
     stray = fake_fit("stray", -90.0, 12, ConstraintSet(LAT, OBS), fingerprint="zzz")
     with pytest.raises(DomainError):
         model_table([full, stray], full)
+
+
+def test_model_table_rejects_non_nested_fit():
+    # zeroes a different coordinate than the reference, with fewer parameters
+    sideways = ConstraintSet(LAT, OBS)
+    sideways.add(InteractionIndex("theta", ("F1",), ("E1",), (2,), (2,)), "user")
+    full = fake_fit("full", -100.0, 10, index_chain(1))
+    other = fake_fit("other", -101.0, 9, sideways)
+    with pytest.raises(DomainError, match="not nested"):
+        model_table([full, other], full)
