@@ -99,7 +99,14 @@ def _fit_report(result: FitResult) -> str:
         f"best_restart {result.best_restart}",
         f"constraints distinct {result.constraints.distinct_count()}"
         f" tallied {result.constraints.tallied_count()}",
+        f"stop_reason {result.stop_reason}",
     ]
+    for record in result.restarts:
+        line = (
+            f"restart {record.restart} loglike {record.log_lik:.4f}"
+            f" iterations {record.iterations} stop_reason {record.stop_reason}"
+        )
+        lines.append(line if record.error is None else f"{line} error {record.error}")
     return "\n".join(lines) + "\n"
 
 

@@ -19,11 +19,19 @@ A damping guard interpolates back toward the previous iterate whenever a
 full M-step would decrease the observed-data log-likelihood, which keeps the
 recorded trace monotone despite the ignored initial-law term. When no damped
 step avoids a decrease, the fit stops and reports that it did not converge.
+
+The restarts run in lock-step: each EM iteration makes the per-restart
+M-steps, then one batched E-step (model.expected_counts) over every restart
+still running, and each damping halving one more over the rows still
+decreasing. A restart leaves the batch when it converges, stalls or fails.
+Each row of a batched E-step equals the single-model recursion bitwise, so
+every restart, the winner and the written artifacts are the same as with
+restarts run one after another; a FitResult records how each restart ended.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +46,7 @@ from .interactions import (
     interactions_from_table,
     table_from_interactions,
 )
-from .model import MhmmModel, ObservedSeries, forward_backward
+from .model import MhmmModel, ObservedSeries, expected_counts
 from .schemes import VariableScheme
 
 MSTEP_GTOL = 1e-7
@@ -68,6 +76,26 @@ class FitOptions:
 
 
 @dataclass
+class RestartRecord:
+    """How one EM restart ended.
+
+    stop_reason is "tol" (the relative log-likelihood gain fell below tol),
+    "stalled" (no damped step kept the log-likelihood from falling),
+    "max_iter", or "error" when the restart raised NumericalError, whose
+    message is then in error. log_lik and trace belong to the last accepted
+    iterate (log_lik is nan when the first E-step failed); iterations counts
+    the EM iterations begun.
+    """
+
+    restart: int
+    log_lik: float
+    iterations: int
+    stop_reason: str
+    error: str | None
+    trace: np.ndarray
+
+
+@dataclass
 class FitResult:
     """Outcome of one constrained EM fit."""
 
@@ -77,13 +105,20 @@ class FitResult:
     constraints: ConstraintSet
     log_lik: float
     iterations: int
-    converged: bool
+    stop_reason: str
     em_trace: np.ndarray
     par: int
     data_fingerprint: str
     label: str = ""
     seed: int = 0
     best_restart: int = 0
+    restarts: tuple[RestartRecord, ...] = ()
+
+    @property
+    def converged(self) -> bool:
+        """True when the fit stopped on the relative-gain tolerance; the
+        winning restart's stop_reason is "tol", "stalled" or "max_iter"."""
+        return self.stop_reason == "tol"
 
 
 # Keeps EM iterates safely interior; a cell this small carries no data anyway.
@@ -121,7 +156,20 @@ class _MStepProblem:
     def loglik(self, probs: np.ndarray) -> float:
         return float(np.sum(self.counts * np.log(probs)))
 
-    def gradient_and_info(self, x: np.ndarray, probs: np.ndarray, _curvature: bool = False):
+    def score(self, probs: np.ndarray):
+        """Score in interaction coordinates, g = zeta^T H with h_e = J_e^-T g_e.
+
+        Returns (g_theta, j_inv, h); gradient_and_info reuses the stacked
+        inverse blocks j_inv and the rows h of H.
+        """
+        j_inv = np.linalg.inv(_jacobian_rows(self.space, probs))
+        g_x = self.counts[:, 1:] - self.totals[:, None] * probs[:, 1:]
+        h = (g_x[:, None, :] @ j_inv)[:, 0, :]
+        return (self.space.zeta.T @ h).ravel(), j_inv, h
+
+    def gradient_and_info(
+        self, x: np.ndarray, probs: np.ndarray, _curvature: bool = False, _score=None
+    ):
         """Score and expected information in interaction coordinates.
 
         With J_e the contrast Jacobian of conditioning state e, the chart map
@@ -134,20 +182,18 @@ class _MStepProblem:
 
         With _curvature the blocks also carry the second-order term of the
         chart (see _curvature_blocks), which makes info the observed
-        information, the negative Hessian of the objective.
+        information, the negative Hessian of the objective. _score takes the
+        result of score(probs) when the caller already has it.
         """
+        g_theta, j_inv, h = self.score(probs) if _score is None else _score
         n_cond, m = probs.shape[0], self.m
-        j_inv = np.linalg.inv(_jacobian_rows(self.space, probs))
         p_free = probs[:, 1:]
-        g_x = self.counts[:, 1:] - self.totals[:, None] * p_free
-        h = (g_x[:, None, :] @ j_inv)[:, 0, :]
         u = (p_free[:, None, :] @ j_inv)[:, 0, :]
         w = j_inv.transpose(0, 2, 1) @ (p_free[:, :, None] * j_inv)
         w = self.totals[:, None, None] * (w - u[:, :, None] * u[:, None, :])
         if _curvature:
             w += j_inv.transpose(0, 2, 1) @ self._curvature_blocks(probs, h) @ j_inv
         zeta = self.space.zeta
-        g_theta = (zeta.T @ h).ravel()
         pairs = (zeta[:, :, None] * zeta[:, None, :]).reshape(n_cond, -1)
         info = (pairs.T @ w.reshape(n_cond, -1)).reshape(n_cond, n_cond, m, m)
         info_theta = info.transpose(0, 2, 1, 3).reshape(n_cond * m, n_cond * m)
@@ -181,9 +227,8 @@ def _line_search(problem: _MStepProblem, theta, x, value, step, gnorm):
     """Halve step until the objective rises, at most MSTEP_MAX_HALVINGS times.
 
     Returns (theta, x, probs, value, scored) at the accepted point, where
-    scored is its (score, observed information) if the flat-objective test
-    had to compute them and None otherwise; returns None if no step is
-    accepted.
+    scored is its problem.score result if the flat-objective test had to
+    compute it and None otherwise; returns None if no step is accepted.
     """
     flat_guard = 1e-12 * (1.0 + abs(value))
     scale = 1.0
@@ -202,7 +247,7 @@ def _line_search(problem: _MStepProblem, theta, x, value, step, gnorm):
         if scale == 1.0 and value_trial >= value - flat_guard:
             # objective flat at float precision: take the full step if it
             # still shrinks the score, which is where Newton endgames live
-            scored = problem.gradient_and_info(x_trial, probs_trial, _curvature=True)
+            scored = problem.score(probs_trial)
             if np.max(np.abs(scored[0][problem.free])) < 0.5 * gnorm:
                 return trial, x_trial, probs_trial, value_trial, scored
             del scored
@@ -248,25 +293,26 @@ def constrained_m_step(
     scored = None
     for iteration in range(max_iter + 1):
         if scored is None:
-            scored = problem.gradient_and_info(x, probs, _curvature=True)
-        g_theta, info = scored
-        scored = None
-        g_free = g_theta[free]
+            scored = problem.score(probs)
+        g_free = scored[0][free]
         gnorm = float(np.max(np.abs(g_free)))
         if gnorm < gtol or iteration == max_iter:
             break
-        # keep one k x k matrix alive at a time: the largest space sets peak memory
+        # informations only when a step follows; keep one k x k matrix alive
+        # at a time: the largest space sets peak memory
+        _, info = problem.gradient_and_info(x, probs, _curvature=True, _score=scored)
         info_free = info[np.ix_(free, free)]
         del info
         try:
             np.linalg.cholesky(info_free)
         except np.linalg.LinAlgError:
             del info_free
-            _, info = problem.gradient_and_info(x, probs)
+            _, info = problem.gradient_and_info(x, probs, _score=scored)
             info_free = info[np.ix_(free, free)]
             del info
             n = info_free.shape[0]
             info_free.flat[:: n + 1] += 1e-10 * (1.0 + np.trace(info_free) / n)
+        scored = None
         try:
             steps = [np.linalg.solve(info_free, g_free)]
         except np.linalg.LinAlgError:
@@ -295,7 +341,26 @@ class _EmState:
     delta: np.ndarray
     theta: np.ndarray
     model: MhmmModel
-    log_lik: float
+    log_lik: float = np.nan
+    counts: tuple | None = None  # (transition, emission) expected counts
+
+
+@dataclass
+class _Restart:
+    """Progress of one restart through the lock-step EM."""
+
+    state: _EmState | None = None  # last accepted iterate
+    trace: list = field(default_factory=list)
+    iterations: int = 0
+    stop_reason: str = "max_iter"
+    error: str | None = None
+
+    def record(self, restart: int) -> RestartRecord:
+        log_lik = np.nan if self.state is None else self.state.log_lik
+        stop_reason = self.stop_reason if self.error is None else "error"
+        return RestartRecord(
+            restart, log_lik, self.iterations, stop_reason, self.error, np.asarray(self.trace)
+        )
 
 
 def _probs_of(space, values):
@@ -318,8 +383,10 @@ def em_fit(
 
     Restart r draws free starting coordinates uniformly in [-0.5, 0.5] from
     a generator seeded by (seed, r), so results are reproducible and
-    independent of scheduling. The best final log-likelihood wins. After
-    fitting, latent state labels are put in canonical order.
+    independent of scheduling: the restarts run in lock-step, and each one's
+    arithmetic is that of a fit with it alone. The best final log-likelihood
+    wins, the first restart on ties. After fitting, latent state labels are
+    put in canonical order.
     """
     options = options or FitOptions()
     if series.scheme != obs_scheme:
@@ -329,39 +396,29 @@ def em_fit(
     dmask = constraints.mask(dspace)
     tmask = constraints.mask(tspace)
 
-    best = None
-    best_restart = -1
-    best_trace = None
-    best_iters = 0
-    best_converged = False
-    errors: list[str] = []
+    starts = []
     for restart in range(options.restarts):
         rng = np.random.default_rng([options.seed, restart])
         delta0 = rng.uniform(-0.5, 0.5, dmask.shape)
         delta0[dmask] = 0.0
         theta0 = rng.uniform(-0.5, 0.5, tmask.shape)
         theta0[tmask] = 0.0
-        try:
-            state, trace, iters, converged = _run_em(
-                latent_scheme, obs_scheme, dspace, tspace, dmask, tmask,
-                delta0, theta0, series, options,
-            )
-        except NumericalError as exc:
-            errors.append(f"restart {restart}: {exc}")
-            continue
-        if best is None or state.log_lik > best.log_lik:
-            best = state
-            best_restart = restart
-            best_trace = trace
-            best_iters = iters
-            best_converged = converged
-    if best is None:
+        starts.append((delta0, theta0))
+    runs = _run_em(
+        latent_scheme, obs_scheme, dspace, tspace, dmask, tmask, starts, series, options
+    )
+    fitted = [r for r, run in enumerate(runs) if run.error is None]
+    if not fitted:
         raise NumericalError(
-            "every EM restart failed numerically: " + "; ".join(errors[:3])
+            "every EM restart failed numerically: "
+            + "; ".join(f"restart {r}: {run.error}" for r, run in enumerate(runs[:3]))
         )
+    best_restart = max(fitted, key=lambda r: runs[r].state.log_lik)
+    best = runs[best_restart]
+    records = tuple(run.record(r) for r, run in enumerate(runs))
 
     model, delta_values, theta_values = _canonicalize(
-        best.model, best.delta, best.theta, dspace, tspace, dmask, tmask
+        best.state.model, best.state.delta, best.state.theta, dspace, tspace, dmask, tmask
     )
     par = count_free_parameters(latent_scheme, obs_scheme, constraints)
     return FitResult(
@@ -369,68 +426,117 @@ def em_fit(
         delta=InteractionTable(dspace, delta_values),
         theta=InteractionTable(tspace, theta_values),
         constraints=constraints,
-        log_lik=best.log_lik,
-        iterations=best_iters,
-        converged=best_converged,
-        em_trace=np.asarray(best_trace),
+        log_lik=best.state.log_lik,
+        iterations=best.iterations,
+        stop_reason=best.stop_reason,
+        em_trace=records[best_restart].trace,
         par=par,
         data_fingerprint=series.fingerprint,
         label=label,
         seed=options.seed,
         best_restart=best_restart,
+        restarts=records,
     )
 
 
 def _run_em(
-    latent_scheme, obs_scheme, dspace, tspace, dmask, tmask,
-    delta_values, theta_values, series, options,
-):
-    def make_state(delta, theta, dprobs, tprobs):
-        model = MhmmModel.from_tables(
-            latent_scheme, obs_scheme, _floored(dprobs), _floored(tprobs)
-        )
-        gamma, xi, log_lik = forward_backward(model, series)
-        return _EmState(delta, theta, model, log_lik), gamma, xi
+    latent_scheme, obs_scheme, dspace, tspace, dmask, tmask, starts, series, options,
+) -> list[_Restart]:
+    """EM from every (delta, theta) start in lock-step; one _Restart each.
 
-    state, gamma, xi = make_state(
-        delta_values,
-        theta_values,
-        _probs_of(dspace, delta_values),
-        _probs_of(tspace, theta_values),
-    )
-    trace = [state.log_lik]
-    converged = False
-    iterations = 0
-    f_idx = series.state_indices
-    nf = obs_scheme.n_states
-    for iterations in range(1, options.max_iter + 1):
-        counts_trans = xi.sum(axis=0) if len(xi) else np.ones_like(state.model.transition)
-        counts_emit = np.zeros((latent_scheme.n_states, nf))
-        np.add.at(counts_emit.T, f_idx, gamma)
+    An iteration makes the per-restart M-steps, then one batched E-step
+    (expected_counts) over all candidates; each damping halving makes one
+    more over the rows whose log-likelihood still falls. A restart leaves
+    the batch when it converges, stalls or raises NumericalError. Rows of a
+    batched E-step equal single-model ones bitwise, so every restart follows
+    the path it would follow alone.
+    """
+    runs = [_Restart() for _ in starts]
 
-        delta_new, dprobs = constrained_m_step(dspace, counts_trans, dmask, warm=state.delta)
-        theta_new, tprobs = constrained_m_step(tspace, counts_emit, tmask, warm=state.theta)
-
-        candidate, gamma_new, xi_new = make_state(delta_new, theta_new, dprobs, tprobs)
-        guard = 1e-12 * (1.0 + abs(state.log_lik))
-        halvings = 0
-        while candidate.log_lik < state.log_lik - guard and halvings < 30:
-            delta_new = 0.5 * (delta_new + state.delta)
-            theta_new = 0.5 * (theta_new + state.theta)
-            candidate, gamma_new, xi_new = make_state(
-                delta_new, theta_new, _probs_of(dspace, delta_new), _probs_of(tspace, theta_new)
+    def candidate(r, delta, theta, probs=None):
+        """The iterate at (delta, theta), or None once restart r has failed."""
+        try:
+            if probs is None:
+                probs = _probs_of(dspace, delta), _probs_of(tspace, theta)
+            model = MhmmModel.from_tables(
+                latent_scheme, obs_scheme, _floored(probs[0]), _floored(probs[1])
             )
-            halvings += 1
-        if candidate.log_lik < state.log_lik - guard:
-            # no damped step keeps the likelihood from falling: a stall
+        except NumericalError as exc:
+            runs[r].error = str(exc)
+            return None
+        return _EmState(delta, theta, model)
+
+    def e_step(states: dict) -> dict:
+        """One batched E-step; drops the iterates whose restart failed."""
+        states = {r: state for r, state in states.items() if state is not None}
+        if not states:
+            return {}
+        results = expected_counts([state.model for state in states.values()], series)
+        done = {}
+        for (r, state), result in zip(states.items(), results):
+            if isinstance(result, NumericalError):
+                runs[r].error = str(result)
+                continue
+            state.counts, state.log_lik = result[:2], result[2]
+            done[r] = state
+        return done
+
+    def falls(r, state) -> bool:
+        previous = runs[r].state.log_lik
+        return state.log_lik < previous - 1e-12 * (1.0 + abs(previous))
+
+    def halved(r, state):
+        accepted = runs[r].state
+        return candidate(
+            r, 0.5 * (state.delta + accepted.delta), 0.5 * (state.theta + accepted.theta)
+        )
+
+    active = e_step({r: candidate(r, *start) for r, start in enumerate(starts)})
+    for r, state in active.items():
+        runs[r].state = state
+        runs[r].trace.append(state.log_lik)
+    for iteration in range(1, options.max_iter + 1):
+        if not active:
             break
-        gain = candidate.log_lik - state.log_lik
-        state, gamma, xi = candidate, gamma_new, xi_new
-        trace.append(state.log_lik)
-        if gain <= options.tol * (1.0 + abs(state.log_lik)):
-            converged = True
-            break
-    return state, trace, iterations, converged
+        proposals = {}
+        for r, state in active.items():
+            runs[r].iterations = iteration
+            try:
+                delta, dprobs = constrained_m_step(
+                    dspace, state.counts[0], dmask, warm=state.delta
+                )
+                theta, tprobs = constrained_m_step(
+                    tspace, state.counts[1], tmask, warm=state.theta
+                )
+            except NumericalError as exc:
+                runs[r].error = str(exc)
+                continue
+            proposals[r] = candidate(r, delta, theta, (dprobs, tprobs))
+        proposals = e_step(proposals)
+        falling = [r for r, state in proposals.items() if falls(r, state)]
+        for _ in range(30):
+            if not falling:
+                break
+            retried = e_step({r: halved(r, proposals[r]) for r in falling})
+            proposals.update(retried)
+            falling = [r for r, state in retried.items() if falls(r, state)]
+        active = {}
+        for r, state in proposals.items():
+            run = runs[r]
+            if run.error is not None:
+                continue
+            if falls(r, state):
+                # no damped step keeps the likelihood from falling: a stall
+                run.stop_reason = "stalled"
+                continue
+            gain = state.log_lik - run.state.log_lik
+            run.state = state
+            run.trace.append(state.log_lik)
+            if gain <= options.tol * (1.0 + abs(state.log_lik)):
+                run.stop_reason = "tol"
+            else:
+                active[r] = state
+    return runs
 
 
 # -- canonical state labels ---------------------------------------------------------

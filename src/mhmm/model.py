@@ -44,8 +44,11 @@ class ObservedSeries:
 
     @cached_property
     def state_indices(self) -> np.ndarray:
-        """Flat joint-state index of each row."""
-        return np.array([self.scheme.state_index(tuple(row)) for row in self.data])
+        """Flat joint-state index of each row: the mixed-radix number of the
+        0-based categories, last variable fastest, as the scheme enumerates
+        its states."""
+        strides = np.cumprod((1,) + self.scheme.counts[:0:-1])[::-1]
+        return (self.data - 1) @ strides
 
     @cached_property
     def fingerprint(self) -> str:
@@ -150,33 +153,95 @@ class MhmmModel:
 
 
 # -- likelihood recursions ---------------------------------------------------
+#
+# One scaled forward-backward recursion (Rabiner 1989) serves every caller. It
+# runs over a stack of R models at once: each time step is one stacked matmul
+# of (R, 1, n) @ (R, n, n) plus a multiply, a last-axis sum and a divide into
+# preallocated buffers, and numpy evaluates each row with the same kernel and
+# in the same order as it would a single model, so a row of the stack is
+# bitwise the result of that model alone.
 
 
-def _emission_column(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
-    """Per-time emission probabilities, shape (T, n_latent_states)."""
-    if series.scheme != model.obs_scheme:
+def _emission_columns(models, series: ObservedSeries) -> np.ndarray:
+    """Per-time emission probabilities of a stack of models, shape (T, R, n)."""
+    if any(series.scheme != model.obs_scheme for model in models):
         raise DomainError("series scheme does not match the model's observable scheme")
-    return model.emission[:, series.state_indices].T
+    emission = np.stack([model.emission for model in models])
+    return emission.transpose(2, 0, 1)[series.state_indices]
+
+
+def _forward(models, series: ObservedSeries):
+    """Scaled forward pass of a stack of models.
+
+    Returns the emission columns b (T, R, n), the normalized alpha (T, R, n)
+    and the scales (T, R). A row whose recursion underflowed holds
+    meaningless values from the first t where its scale is not positive;
+    _row_log_likelihood reports it.
+    """
+    b = _emission_columns(models, series)
+    T, R, n = b.shape
+    initial = np.stack([model.initial for model in models])
+    transition = np.stack([model.transition for model in models])
+    alpha = np.empty((T, R, 1, n))
+    scales = np.empty((T, R, 1, 1))
+    b_rows = b[:, :, None, :]
+    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
+    with np.errstate(divide="ignore", invalid="ignore"):
+        multiply(initial[:, None, :], b_rows[0], alpha[0])
+        add(alpha[0], -1, None, scales[0], True)
+        divide(alpha[0], scales[0], alpha[0])
+        for prev, cur, b_t, scale in zip(alpha, alpha[1:], b_rows[1:], scales[1:]):
+            matmul(prev, transition, cur)
+            multiply(cur, b_t, cur)
+            add(cur, -1, None, scale, True)
+            divide(cur, scale, cur)
+    return b, alpha.reshape(T, R, n), scales.reshape(T, R)
+
+
+def _backward(models, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """Scaled backward pass matching _forward's scales, shape (T, R, n)."""
+    T, R, n = b.shape
+    transition = np.stack([model.transition for model in models])
+    beta = np.empty((T, R, n, 1))
+    beta[-1] = 1.0
+    ahead = np.empty((R, n, 1))
+    matmul, multiply, divide = np.matmul, np.multiply, np.divide
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for cur, nxt, b_next, scale in zip(
+            beta[-2::-1], beta[::-1], b[::-1, :, :, None], scales[::-1, :, None, None]
+        ):
+            multiply(b_next, nxt, ahead)
+            matmul(transition, ahead, cur)
+            divide(cur, scale, cur)
+    return beta.reshape(T, R, n)
+
+
+def _row_log_likelihood(scales: np.ndarray) -> float:
+    """Log-likelihood from one row of forward scales; raises NumericalError
+    at the first time its recursion underflowed."""
+    failed = np.flatnonzero(~(scales > 0.0))
+    if failed.size:
+        raise NumericalError(f"forward recursion underflowed at time {failed[0]}")
+    return float(np.log(scales).sum())
+
+
+def _posteriors(alpha, beta, scales, b, transition):
+    """gamma (T, n) and xi (T - 1, n, n) of one model from its recursions."""
+    gamma = alpha * beta
+    gamma /= gamma.sum(axis=1, keepdims=True)
+    if len(b) > 1:
+        ahead = (b[1:] * beta[1:]) / scales[1:, None]
+        xi = alpha[:-1, :, None] * transition[None, :, :] * ahead[:, None, :]
+        xi /= xi.sum(axis=(1, 2), keepdims=True)
+    else:
+        xi = np.empty((0,) + transition.shape)
+    return gamma, xi
 
 
 def log_likelihood(model: MhmmModel, series: ObservedSeries) -> float:
     """Log-likelihood by the scaled forward recursion."""
-    b = _emission_column(model, series)
-    alpha = model.initial * b[0]
-    total = 0.0
-    scale = alpha.sum()
-    if scale <= 0.0:
-        raise NumericalError("forward recursion underflowed at time 0")
-    alpha /= scale
-    total += np.log(scale)
-    for t in range(1, len(series)):
-        alpha = (alpha @ model.transition) * b[t]
-        scale = alpha.sum()
-        if scale <= 0.0:
-            raise NumericalError(f"forward recursion underflowed at time {t}")
-        alpha /= scale
-        total += np.log(scale)
-    return float(total)
+    _, _, scales = _forward([model], series)
+    return _row_log_likelihood(scales[:, 0])
 
 
 def forward_backward(model: MhmmModel, series: ObservedSeries):
@@ -186,34 +251,39 @@ def forward_backward(model: MhmmModel, series: ObservedSeries):
     latent state at time t, xi[t] the posterior law of the pair (t, t+1).
     Rows of gamma sum to one; xi[t] marginalizes to gamma[t] and gamma[t+1].
     """
-    b = _emission_column(model, series)
-    T, n = b.shape
-    alpha = np.empty((T, n))
-    scales = np.empty(T)
-    state = model.initial * b[0]
-    scales[0] = state.sum()
-    if scales[0] <= 0.0:
-        raise NumericalError("forward recursion underflowed at time 0")
-    alpha[0] = state / scales[0]
-    for t in range(1, T):
-        state = (alpha[t - 1] @ model.transition) * b[t]
-        scales[t] = state.sum()
-        if scales[t] <= 0.0:
-            raise NumericalError(f"forward recursion underflowed at time {t}")
-        alpha[t] = state / scales[t]
-    beta = np.empty((T, n))
-    beta[-1] = 1.0
-    for t in range(T - 2, -1, -1):
-        beta[t] = (model.transition @ (b[t + 1] * beta[t + 1])) / scales[t + 1]
-    gamma = alpha * beta
-    gamma /= gamma.sum(axis=1, keepdims=True)
-    if T > 1:
-        ahead = (b[1:] * beta[1:]) / scales[1:, None]
-        xi = alpha[:-1, :, None] * model.transition[None, :, :] * ahead[:, None, :]
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-    else:
-        xi = np.empty((0, n, n))
-    return gamma, xi, float(np.log(scales).sum())
+    b, alpha, scales = _forward([model], series)
+    log_lik = _row_log_likelihood(scales[:, 0])
+    beta = _backward([model], b, scales)
+    gamma, xi = _posteriors(alpha[:, 0], beta[:, 0], scales[:, 0], b[:, 0], model.transition)
+    return gamma, xi, log_lik
+
+
+def expected_counts(models, series: ObservedSeries) -> list:
+    """E-step of a stack of models in one batched forward-backward pass.
+
+    Returns, per model, either (transition counts, emission counts,
+    log-likelihood) or the NumericalError its recursion raised; a failing
+    model leaves the other rows untouched. Each row equals the single-model
+    recursion bitwise. Posteriors are formed one model at a time, so at most
+    one (T - 1, n, n) pair array is alive.
+    """
+    b, alpha, scales = _forward(models, series)
+    beta = _backward(models, b, scales)
+    f_idx = series.state_indices
+    out = []
+    for r, model in enumerate(models):
+        try:
+            log_lik = _row_log_likelihood(scales[:, r])
+        except NumericalError as exc:
+            out.append(exc)
+            continue
+        gamma, xi = _posteriors(alpha[:, r], beta[:, r], scales[:, r], b[:, r], model.transition)
+        counts_trans = xi.sum(axis=0) if len(xi) else np.ones_like(model.transition)
+        del xi
+        counts_emit = np.zeros(model.emission.shape)
+        np.add.at(counts_emit.T, f_idx, gamma)
+        out.append((counts_trans, counts_emit, log_lik))
+    return out
 
 
 def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
@@ -221,7 +291,7 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
 
     Returns a (T, r) array of 1-based latent categories.
     """
-    b = _emission_column(model, series)
+    b = _emission_columns([model], series)[:, 0]
     T, n = b.shape
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -82,13 +83,15 @@ def test_stalled_fit_reports_not_converged(tmp_path, tiny_model_file, monkeypatc
     # every E-step reports a far lower likelihood than the one before, so no
     # damped EM step is ever accepted
     calls = itertools.count()
-    real = mhmm.fit.forward_backward
+    real = mhmm.fit.expected_counts
 
-    def sinking(model, series):
-        gamma, xi, log_lik = real(model, series)
-        return gamma, xi, log_lik - 1e6 * next(calls)
+    def sinking(models, series):
+        return [
+            (counts_trans, counts_emit, log_lik - 1e6 * next(calls))
+            for counts_trans, counts_emit, log_lik in real(models, series)
+        ]
 
-    monkeypatch.setattr(mhmm.fit, "forward_backward", sinking)
+    monkeypatch.setattr(mhmm.fit, "expected_counts", sinking)
     sim_dir = tmp_path / "sim"
     main(["simulate", "--spec", str(tiny_model_file), "--length", "100", "--out", str(sim_dir)])
     spec_path = write_spec(tmp_path, "tiny", TINY)
@@ -178,6 +181,34 @@ def test_compare_writes_table_with_reference_first(tmp_path, capsys):
     # stdout shows the same table
     out = capsys.readouterr().out
     assert "reference: saturated" in out
+
+
+# sha256 of the artifacts of the fit below, recorded with the sequential
+# restart loop that lock-step restarts replaced
+GOLDEN_NOGRANGER = {
+    ".model": "d105307dd8528c80ba521aeec88d821e0380b4d71339c9fb8268e2089b7e2b66",
+    ".coefficients.txt": "52965e9b7b3871e703d844bf9ebb64486f55923dd620d3f1716c0b3973acda46",
+}
+
+
+def test_seeded_fit_artifacts_match_golden_digests(tmp_path):
+    data = simulate_two_var_series(tmp_path)
+    spec = write_spec(tmp_path, "ng", TINY_NOGRANGER)
+    fit_dir = tmp_path / "fit"
+    rc = main(
+        ["fit", "--spec", str(spec), "--data", str(data), "--out", str(fit_dir), "--restarts", "3"]
+    )
+    assert rc == 0
+    for suffix, digest in GOLDEN_NOGRANGER.items():
+        assert hashlib.sha256((fit_dir / f"ng{suffix}").read_bytes()).hexdigest() == digest
+    report = (fit_dir / "ng.fit.txt").read_text().splitlines()
+    assert all(len(line.split(" ", 1)) == 2 for line in report)
+    assert "best_restart 1" in report
+    assert "stop_reason max_iter" in report
+    restarts = [line.split() for line in report if line.startswith("restart ")]
+    assert [cells[1] for cells in restarts] == ["0", "1", "2"]
+    assert restarts[1][2:4] == ["loglike", "-298.7164"]
+    assert all(cells[4:] == ["iterations", "120", "stop_reason", "max_iter"] for cells in restarts)
 
 
 def test_compare_requires_two_specs(tmp_path, capsys):

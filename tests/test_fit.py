@@ -3,12 +3,14 @@ import pytest
 import scipy.optimize
 from pytest import approx
 
+import mhmm.fit
 from mhmm import (
     ConstraintSet,
     DomainError,
     FitOptions,
     InteractionSpace,
     MhmmModel,
+    NumericalError,
     VariableScheme,
     additivity_constraints,
     constrained_m_step,
@@ -292,6 +294,72 @@ def test_em_is_deterministic_given_seed():
     assert a.log_lik == b.log_lik
     assert np.array_equal(a.model.transition, b.model.transition)
     assert a.best_restart == b.best_restart
+
+
+def test_lock_step_restart_matches_a_lone_fit():
+    truth = generating_model()
+    _, series = simulate(truth, 300, seed=8)
+    _, cs = no_granger_constraints()
+    many = em_fit(LAT, OBS, cs, series, FitOptions(restarts=3, seed=4, max_iter=60))
+    alone = em_fit(LAT, OBS, cs, series, FitOptions(restarts=1, seed=4, max_iter=60))
+    assert [record.restart for record in many.restarts] == [0, 1, 2]
+    first = many.restarts[0]
+    assert np.array_equal(first.trace, alone.em_trace)
+    assert first.iterations == alone.iterations
+    assert first.log_lik == alone.log_lik
+    assert first.stop_reason == alone.stop_reason
+    best = many.restarts[many.best_restart]
+    assert best.log_lik == many.log_lik
+    assert np.array_equal(best.trace, many.em_trace)
+    assert many.log_lik == max(record.log_lik for record in many.restarts)
+    assert many.converged == (many.stop_reason == "tol")
+
+
+def test_failed_restart_is_recorded_and_leaves_the_others_unchanged(monkeypatch):
+    truth = generating_model()
+    _, series = simulate(truth, 200, seed=5)
+    empty = ConstraintSet(LAT, OBS)
+    opts = FitOptions(restarts=3, seed=2, max_iter=40)
+    clean = em_fit(LAT, OBS, empty, series, opts)
+    real = mhmm.fit.expected_counts
+    calls = []
+
+    def failing_first_e_step_of_restart_1(models, series):
+        rows = real(models, series)
+        calls.append(len(models))
+        if len(calls) == 1:
+            rows[1] = NumericalError("forced failure")
+        return rows
+
+    monkeypatch.setattr(mhmm.fit, "expected_counts", failing_first_e_step_of_restart_1)
+    fit = em_fit(LAT, OBS, empty, series, opts)
+    failed = fit.restarts[1]
+    assert (failed.stop_reason, failed.error, failed.iterations) == ("error", "forced failure", 0)
+    assert np.isnan(failed.log_lik)
+    # later E-steps batch only the two surviving restarts
+    assert calls[0] == 3 and max(calls[1:]) == 2
+    for r in (0, 2):
+        assert fit.restarts[r].error is None
+        assert np.array_equal(fit.restarts[r].trace, clean.restarts[r].trace)
+    assert clean.best_restart == fit.best_restart == 0
+    assert fit.log_lik == clean.log_lik
+    assert np.array_equal(fit.model.emission, clean.model.emission)
+
+
+def test_fit_raises_when_every_restart_fails(monkeypatch):
+    truth = generating_model()
+    _, series = simulate(truth, 50, seed=5)
+
+    def failing(models, series):
+        return [NumericalError(f"forced failure {i}") for i in range(len(models))]
+
+    monkeypatch.setattr(mhmm.fit, "expected_counts", failing)
+    with pytest.raises(NumericalError) as raised:
+        em_fit(LAT, OBS, ConstraintSet(LAT, OBS), series, FitOptions(restarts=2))
+    assert str(raised.value) == (
+        "every EM restart failed numerically: "
+        "restart 0: forced failure 0; restart 1: forced failure 1"
+    )
 
 
 def test_em_rejects_mismatched_series():

@@ -8,6 +8,7 @@ from pytest import approx
 from mhmm import (
     DomainError,
     MhmmModel,
+    NumericalError,
     ObservedSeries,
     VariableScheme,
     forward_backward,
@@ -22,6 +23,7 @@ from mhmm import (
     write_model,
     write_series_csv,
 )
+from mhmm.model import expected_counts
 from helpers import (
     path_sum_log_likelihood,
     brute_posteriors,
@@ -122,6 +124,64 @@ def test_forward_backward_matches_brute_force(rng):
         assert xi == approx(bx, abs=1e-10)
         assert gamma.sum(axis=1) == approx(np.ones(5))
         assert xi.sum(axis=(1, 2)) == approx(np.ones(4))
+
+
+def counts_from_posteriors(model, series):
+    gamma, xi, log_lik = forward_backward(model, series)
+    counts_trans = xi.sum(axis=0) if len(xi) else np.ones_like(model.transition)
+    counts_emit = np.zeros(model.emission.shape)
+    np.add.at(counts_emit.T, series.state_indices, gamma)
+    return counts_trans, counts_emit, log_lik
+
+
+def assert_same_counts(got, expected):
+    assert np.array_equal(got[0], expected[0])
+    assert np.array_equal(got[1], expected[1])
+    assert got[2] == expected[2]
+
+
+@pytest.mark.parametrize("latent_counts", [(2, 2), (3, 3), (2, 2, 2, 2)])
+def test_batched_e_step_rows_equal_single_model_calls(latent_counts):
+    """n = 4, 9, 16 latent states; every row of a stack is bitwise the
+    single-model E-step and the counts of forward_backward's posteriors."""
+    rng = np.random.default_rng(sum(latent_counts))
+    latent = VariableScheme.of(*[(f"E{i}", c) for i, c in enumerate(latent_counts)])
+    observed = VariableScheme.of(("F1", 3), ("F2", 2))
+    for length in (1, 500):
+        models = [random_model(rng, latent, observed) for _ in range(3)]
+        _, series = simulate(models[0], length, seed=int(rng.integers(1 << 30)))
+        for stack in (models[:1], models):
+            rows = expected_counts(stack, series)
+            assert len(rows) == len(stack)
+            for model, row in zip(stack, rows):
+                assert_same_counts(row, expected_counts([model], series)[0])
+                assert_same_counts(row, counts_from_posteriors(model, series))
+
+
+def test_batched_e_step_isolates_an_underflowing_row(rng):
+    models = [random_model(rng, VariableScheme.of(("E1", 2), ("E2", 2)), OBS1) for _ in range(3)]
+    series = series_of(OBS1, [[1]] * 6 + [[2]] + [[1]] * 3)
+    emission = models[1].emission.copy()
+    emission[:, 1] = 0.0
+    emission[:, 0] = 1.0
+    models[1] = MhmmModel.from_tables(models[1].latent_scheme, OBS1, models[1].transition, emission)
+    with pytest.raises(NumericalError) as single:
+        forward_backward(models[1], series)
+    assert str(single.value) == "forward recursion underflowed at time 6"
+    with pytest.raises(NumericalError, match="at time 6$"):
+        log_likelihood(models[1], series)
+    rows = expected_counts(models, series)
+    assert isinstance(rows[1], NumericalError)
+    assert str(rows[1]) == str(single.value)
+    for r in (0, 2):
+        assert_same_counts(rows[r], expected_counts([models[r]], series)[0])
+
+
+def test_state_indices_follow_scheme_enumeration(rng):
+    scheme = VariableScheme.of(("F1", 3), ("F2", 2), ("F3", 4))
+    data = np.column_stack([rng.integers(1, c + 1, 200) for c in scheme.counts])
+    series = ObservedSeries(scheme, data)
+    assert series.state_indices.tolist() == [scheme.state_index(tuple(row)) for row in data]
 
 
 def test_viterbi_matches_exhaustive_search(rng):

@@ -78,7 +78,7 @@ def fake_fit(label, log_lik, par, constraints, fingerprint="abc"):
         constraints=constraints,
         log_lik=log_lik,
         iterations=5,
-        converged=True,
+        stop_reason="tol",
         em_trace=[log_lik],
         par=par,
         data_fingerprint=fingerprint,
