@@ -29,9 +29,8 @@ import numpy as np
 from .errors import DomainError
 from .graphs import MixedChainGraph
 from .interactions import InteractionIndex, InteractionSpace
-from .schemes import VariableScheme
+from .schemes import VariableScheme, _subsets
 
-GRAPH_FAMILIES = ("granger", "contemporaneous", "local", "emission")
 IA_FAMILY = "invariant_association"
 
 
@@ -94,22 +93,27 @@ class ConstraintSet:
         return set(other.entries) <= set(self.entries)
 
 
-def _zero_block(cs, space, P, Q, family):
-    """Zero every category cell of one (response margin, conditioning margin)."""
+def _zero_blocks(cs, space, family, zeroed):
+    """Zero every category cell of each (response margin P, conditioning
+    margin Q) block of a space for which zeroed(P, Q) holds."""
     rc = space.response.counts
     cc = space.condition.counts
-    for fcats in itertools.product(*[range(2, rc[i] + 1) for i in P]):
-        for ecats in itertools.product(*[range(2, cc[i] + 1) for i in Q]):
-            cs.add(
-                InteractionIndex(
-                    kind=space.kind,
-                    response_vars=space.response.names_at(P),
-                    cond_vars=space.condition.names_at(Q),
-                    response_cats=fcats,
-                    cond_cats=ecats,
-                ),
-                family,
-            )
+    for P in space.margins:
+        for Q in _subsets(range(space.condition.size)):
+            if not zeroed(P, Q):
+                continue
+            for fcats in itertools.product(*[range(2, rc[i] + 1) for i in P]):
+                for ecats in itertools.product(*[range(2, cc[i] + 1) for i in Q]):
+                    cs.add(
+                        InteractionIndex(
+                            kind=space.kind,
+                            response_vars=space.response.names_at(P),
+                            cond_vars=space.condition.names_at(Q),
+                            response_cats=fcats,
+                            cond_cats=ecats,
+                        ),
+                        family,
+                    )
 
 
 def _space(latent_scheme, obs_scheme, target):
@@ -136,33 +140,19 @@ def graph_constraints(
         have = None if obs_scheme is None else obs_scheme.names
         raise DomainError(f"graph observable nodes {graph.observed} do not match scheme {have}")
     cs = ConstraintSet(latent_scheme, obs_scheme)
-
-    dspace = _space(latent_scheme, None, "transition")
-    lat_names = latent_scheme.names
-    bi_latent = graph.bi_connected_family("latent")
-    for P in dspace.margins:
-        p_names = frozenset(lat_names[i] for i in P)
-        pa = graph.parents(p_names)
-        for Q in _all_subsets(range(latent_scheme.size)):
-            q_names = frozenset(lat_names[i] for i in Q)
-            if not q_names <= pa:
-                _zero_block(cs, dspace, P, Q, "granger")
-            if p_names not in bi_latent:
-                _zero_block(cs, dspace, P, Q, "contemporaneous")
-
-    if graph.observed:
-        tspace = _space(latent_scheme, obs_scheme, "emission")
-        obs_names = obs_scheme.names
-        bi_obs = graph.bi_connected_family("observable")
-        for P in tspace.margins:
-            p_names = frozenset(obs_names[i] for i in P)
-            pa = graph.parents(p_names)
-            for Q in _all_subsets(range(latent_scheme.size)):
-                q_names = frozenset(lat_names[i] for i in Q)
-                if not q_names <= pa:
-                    _zero_block(cs, tspace, P, Q, "emission")
-                if p_names not in bi_obs:
-                    _zero_block(cs, tspace, P, Q, "local")
+    blocks = (
+        ("transition", "latent", "granger", "contemporaneous"),
+        ("emission", "observable", "emission", "local"),
+    )
+    for target, block, lagged, association in blocks:
+        if block == "observable" and not graph.observed:
+            continue
+        space = _space(latent_scheme, obs_scheme, target)
+        names, cond_names = space.response.names_at, space.condition.names_at
+        parents = {P: graph.parents(names(P)) for P in space.margins}
+        bi_connected = graph.bi_connected_family(block)
+        _zero_blocks(cs, space, lagged, lambda P, Q: not set(cond_names(Q)) <= parents[P])
+        _zero_blocks(cs, space, association, lambda P, Q: frozenset(names(P)) not in bi_connected)
     return cs
 
 
@@ -174,10 +164,7 @@ def additivity_constraints(
     """Zero every coefficient conditioned on two or more variables."""
     space = _space(latent_scheme, obs_scheme, target)
     cs = ConstraintSet(latent_scheme, obs_scheme)
-    for P in space.margins:
-        for Q in _all_subsets(range(latent_scheme.size)):
-            if len(Q) > 1:
-                _zero_block(cs, space, P, Q, "additivity")
+    _zero_blocks(cs, space, "additivity", lambda P, Q: len(Q) > 1)
     return cs
 
 
@@ -193,12 +180,7 @@ def invariant_association_constraints(
     """
     space = _space(latent_scheme, obs_scheme, target)
     cs = ConstraintSet(latent_scheme, obs_scheme)
-    for P in space.margins:
-        if len(P) < 2:
-            continue
-        for Q in _all_subsets(range(latent_scheme.size)):
-            if Q:
-                _zero_block(cs, space, P, Q, IA_FAMILY)
+    _zero_blocks(cs, space, IA_FAMILY, lambda P, Q: len(P) > 1 and len(Q) > 0)
     return cs
 
 
@@ -212,12 +194,12 @@ def user_zero_constraints(
     """Zero one (response margin, conditioning margin) block by name."""
     target = "transition" if kind == "delta" else "emission"
     space = _space(latent_scheme, obs_scheme, target)
-    rpos = sorted(space.response.positions(response_vars))
-    qpos = sorted(space.condition.positions(cond_vars))
+    rpos = space.response.positions(response_vars)
+    qpos = space.condition.positions(cond_vars)
     if not rpos:
         raise DomainError("user zero needs a nonempty response margin")
     cs = ConstraintSet(latent_scheme, obs_scheme)
-    _zero_block(cs, space, tuple(rpos), tuple(qpos), "user")
+    _zero_blocks(cs, space, "user", lambda P, Q: P == rpos and Q == qpos)
     return cs
 
 
@@ -239,11 +221,3 @@ def count_free_parameters(
     if constraints.latent_scheme != latent_scheme or constraints.obs_scheme != obs_scheme:
         raise DomainError("constraint set does not match the given schemes")
     return total_parameter_count(latent_scheme, obs_scheme) - constraints.tallied_count()
-
-
-def _all_subsets(positions):
-    positions = tuple(positions)
-    out = []
-    for r in range(len(positions) + 1):
-        out.extend(itertools.combinations(positions, r))
-    return out

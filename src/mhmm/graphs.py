@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapacityError, DomainError
+from .schemes import _subsets
 
 BLOCK_CAP = 16
 
@@ -211,12 +212,8 @@ class MixedChainGraph:
         for a, b in edges:
             adjacency[a].add(b)
             adjacency[b].add(a)
-        family = set()
-        for r in range(1, len(nodes) + 1):
-            for subset in itertools.combinations(nodes, r):
-                if _connected(set(subset), adjacency):
-                    family.add(frozenset(subset))
-        return frozenset(family)
+        subsets = _subsets(nodes)[1:]
+        return frozenset(frozenset(s) for s in subsets if _connected(set(s), adjacency))
 
     # -- independence statements ---------------------------------------------
 
@@ -227,61 +224,35 @@ class MixedChainGraph:
         (granger) or spouse image (contemporaneous) are kept; the dropped
         statements are implied by marginalization.
         """
-        universe = set(self.latent)
-        granger, contemp = [], []
-        for target in _nonempty_subsets(self.latent):
-            pa = self.parents(target)
-            rest = universe - set(pa)
-            if rest:
-                granger.append(
-                    IndependenceStatement(
-                        "granger", frozenset(target), frozenset(rest), frozenset(pa)
-                    )
-                )
-            sp = self.spouses(target)
-            others = universe - set(sp)
-            if others:
-                contemp.append(
-                    IndependenceStatement(
-                        "contemporaneous",
-                        frozenset(target),
-                        frozenset(others),
-                        frozenset(universe),
-                    )
-                )
-        if minimal_only:
-            granger = _keep_maximal(granger)
-            contemp = _keep_maximal(contemp)
+        granger, contemp = self._block_independencies(
+            self.latent, "granger", "contemporaneous", minimal_only
+        )
         return granger + contemp
 
     def observation_independencies(self, minimal_only: bool = False) -> list[IndependenceStatement]:
         """Local and emission statements implied by the observable part."""
-        if not self.observed:
-            return []
-        obs_universe = set(self.observed)
-        lat_universe = set(self.latent)
-        local, emission = [], []
-        for target in _nonempty_subsets(self.observed):
-            sp = self.spouses(target)
-            others = obs_universe - set(sp)
-            if others:
-                local.append(
-                    IndependenceStatement(
-                        "local", frozenset(target), frozenset(others), frozenset(lat_universe)
-                    )
-                )
-            pa = self.parents(target)
-            rest = lat_universe - set(pa)
-            if rest:
-                emission.append(
-                    IndependenceStatement(
-                        "emission", frozenset(target), frozenset(rest), frozenset(pa)
-                    )
-                )
-        if minimal_only:
-            local = _keep_maximal(local)
-            emission = _keep_maximal(emission)
+        emission, local = self._block_independencies(
+            self.observed, "emission", "local", minimal_only
+        )
         return local + emission
+
+    def _block_independencies(self, nodes, parent_kind, spouse_kind, minimal_only):
+        """Per nonempty target set of one block: its parent statement (the
+        latent nodes outside its parents, given them) and its spouse
+        statement (the block nodes outside its spouses, given the whole
+        latent block). Returns the two lists in target order."""
+        latent, block = frozenset(self.latent), frozenset(nodes)
+        by_parents, by_spouses = [], []
+        for target in map(frozenset, _subsets(nodes)[1:]):
+            pa = self.parents(target)
+            if latent - pa:
+                by_parents.append(IndependenceStatement(parent_kind, target, latent - pa, pa))
+            sp = self.spouses(target)
+            if block - sp:
+                by_spouses.append(IndependenceStatement(spouse_kind, target, block - sp, latent))
+        if minimal_only:
+            return _keep_maximal(by_parents), _keep_maximal(by_spouses)
+        return by_parents, by_spouses
 
     def independencies(self, minimal_only: bool = False) -> list[IndependenceStatement]:
         return self.latent_independencies(minimal_only) + self.observation_independencies(
@@ -352,11 +323,6 @@ def _connected(subset: set[str], adjacency: dict[str, set[str]]) -> bool:
                 seen.add(nxt)
                 frontier.append(nxt)
     return seen == subset
-
-
-def _nonempty_subsets(nodes):
-    for r in range(1, len(nodes) + 1):
-        yield from itertools.combinations(nodes, r)
 
 
 def _keep_maximal(statements: list[IndependenceStatement]) -> list[IndependenceStatement]:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError
-from .schemes import BASELINE, VariableScheme
+from .schemes import BASELINE, VariableScheme, _subsets
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 200
@@ -91,11 +91,7 @@ class InteractionSpace:
     @cached_property
     def margins(self) -> tuple[tuple[int, ...], ...]:
         """Nonempty response margins as position tuples, by (size, order)."""
-        positions = range(self.response.size)
-        out = []
-        for r in range(1, self.response.size + 1):
-            out.extend(itertools.combinations(positions, r))
-        return tuple(out)
+        return _subsets(range(self.response.size))[1:]
 
     @cached_property
     def _margin_layout(self):
@@ -281,12 +277,6 @@ class InteractionTable:
 
     def copy(self) -> "InteractionTable":
         return InteractionTable(self.space, self.values.copy())
-
-
-def _subsets(items):
-    items = tuple(items)
-    for r in range(len(items) + 1):
-        yield from itertools.combinations(items, r)
 
 
 # -- forward maps ---------------------------------------------------------------

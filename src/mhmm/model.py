@@ -89,8 +89,8 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
 
 def _check_stochastic(name: str, table: np.ndarray) -> np.ndarray:
     table = np.asarray(table, dtype=float)
-    if np.any(table < 0.0):
-        raise DomainError(f"{name} table has negative entries")
+    if not np.all(table >= 0.0):
+        raise DomainError(f"{name} table has negative or NaN entries")
     sums = table.sum(axis=-1)
     if np.max(np.abs(sums - 1.0)) > STOCHASTIC_TOL:
         raise DomainError(
@@ -122,7 +122,7 @@ class MhmmModel:
         initial = np.asarray(self.initial, dtype=float)
         if initial.shape != (ne,):
             raise DomainError(f"initial law shape {initial.shape}, expected {(ne,)}")
-        if np.max(np.abs(initial @ transition - initial)) > 1e-8:
+        if not np.max(np.abs(initial @ transition - initial)) <= 1e-8:
             raise DomainError("initial law is not invariant for the transition table")
         initial = np.clip(initial, 0.0, None)
         initial = initial / initial.sum()

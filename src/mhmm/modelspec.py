@@ -11,7 +11,8 @@ One directive per line, '#' starts a comment:
     hypothesis additivity emission|transition
     hypothesis invariant_association emission|transition
     hypothesis user_zero THETA|DELTA <P> <Q>
-    option restarts|seed|max_iter|tol <value>
+    option restarts|seed|max_iter <integer>
+    option tol <float>
 
 Variable sets P and Q are comma-joined names, '-' for the empty set.
 Declarations may appear in any order; duplicate edges and hypotheses are
@@ -29,13 +30,19 @@ from .constraints import (
     invariant_association_constraints,
     user_zero_constraints,
 )
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .fit import FitOptions, FitResult, em_fit
 from .graphs import MixedChainGraph
 from .model import ObservedSeries
 from .schemes import VariableScheme
 
 _HYPOTHESIS_TARGETS = ("emission", "transition")
+_HYPOTHESIS_COMPILERS = {
+    "additivity": additivity_constraints,
+    "invariant_association": invariant_association_constraints,
+    "user_zero": user_zero_constraints,
+}
+_OPTION_TYPES = {"restarts": int, "seed": int, "max_iter": int, "tol": float}
 
 
 @dataclass(frozen=True)
@@ -52,24 +59,8 @@ class ModelSpec:
     def compile(self) -> ConstraintSet:
         """Zero restrictions induced by the graph and the extra hypotheses."""
         cs = graph_constraints(self.graph, self.latent_scheme, self.obs_scheme)
-        for hyp in self.hypotheses:
-            if hyp[0] == "additivity":
-                cs = cs.merge(
-                    additivity_constraints(self.latent_scheme, self.obs_scheme, hyp[1])
-                )
-            elif hyp[0] == "invariant_association":
-                cs = cs.merge(
-                    invariant_association_constraints(
-                        self.latent_scheme, self.obs_scheme, hyp[1]
-                    )
-                )
-            else:
-                _, kind, response, cond = hyp
-                cs = cs.merge(
-                    user_zero_constraints(
-                        self.latent_scheme, self.obs_scheme, kind, response, cond
-                    )
-                )
+        for kind, *args in self.hypotheses:
+            cs = cs.merge(_HYPOTHESIS_COMPILERS[kind](self.latent_scheme, self.obs_scheme, *args))
         return cs
 
 
@@ -124,7 +115,7 @@ def parse_model_spec(text: str, label: str = "spec") -> ModelSpec:
     emit: set[tuple[str, str]] = set()
     self_parents = True
     hypotheses: list[tuple] = []
-    option_values: dict[str, float] = {}
+    options = FitOptions()
 
     def _known(line_no, *names):
         for name in names:
@@ -169,8 +160,7 @@ def parse_model_spec(text: str, label: str = "spec") -> ModelSpec:
         elif head == "hypothesis":
             hypotheses.append(_parse_hypothesis(line_no, tokens, latent, observed))
         elif head == "option":
-            key, value = _parse_option(line_no, tokens)
-            option_values[key] = value
+            options = _parse_option(line_no, tokens, options)
         else:
             _fail(line_no, f"unknown directive {head!r}")
 
@@ -185,16 +175,6 @@ def parse_model_spec(text: str, label: str = "spec") -> ModelSpec:
     )
     latent_scheme = VariableScheme.of(*latent.items())
     obs_scheme = VariableScheme.of(*observed.items()) if observed else None
-
-    options = FitOptions()
-    if "restarts" in option_values:
-        options = replace(options, restarts=int(option_values["restarts"]))
-    if "seed" in option_values:
-        options = replace(options, seed=int(option_values["seed"]))
-    if "max_iter" in option_values:
-        options = replace(options, max_iter=int(option_values["max_iter"]))
-    if "tol" in option_values:
-        options = replace(options, tol=float(option_values["tol"]))
 
     deduped = tuple(dict.fromkeys(hypotheses))
     return ModelSpec(
@@ -237,26 +217,21 @@ def _parse_hypothesis(line_no, tokens, latent, observed):
     _fail(line_no, f"unknown hypothesis {kind!r}")
 
 
-def _parse_option(line_no, tokens):
+def _parse_option(line_no, tokens, options: FitOptions) -> FitOptions:
     if len(tokens) != 3:
         _fail(line_no, "expected 'option <name> <value>'")
     key, value_token = tokens[1], tokens[2]
-    if key not in ("restarts", "seed", "max_iter", "tol"):
+    if key not in _OPTION_TYPES:
         _fail(line_no, f"unknown option {key!r}")
+    convert = _OPTION_TYPES[key]
     try:
-        value = float(value_token)
+        value = convert(value_token)
     except ValueError:
-        _fail(line_no, f"option value {value_token!r} is not a number")
-    if key == "tol":
-        if not 0 < value < 1:
-            _fail(line_no, "tol must sit in (0, 1)")
-    elif key == "seed":
-        if value < 0 or value != int(value):
-            _fail(line_no, "seed must be a nonnegative integer")
-    else:
-        if value < 1 or value != int(value):
-            _fail(line_no, f"{key} must be a positive integer")
-    return key, value
+        _fail(line_no, f"option {key} value {value_token!r} is not a valid {convert.__name__}")
+    try:
+        return replace(options, **{key: value})
+    except DomainError as exc:
+        _fail(line_no, str(exc))
 
 
 def read_model_spec(path, label: str | None = None) -> ModelSpec:
@@ -267,20 +242,15 @@ def read_model_spec(path, label: str | None = None) -> ModelSpec:
     return parse_model_spec(p.read_text(), label=label or p.stem)
 
 
-def fit_spec(
-    spec: ModelSpec,
-    series: ObservedSeries,
-    options: FitOptions | None = None,
-    constraints: ConstraintSet | None = None,
-) -> FitResult:
+def fit_spec(spec: ModelSpec, series: ObservedSeries) -> FitResult:
     """Compile a spec and fit it to a series by constrained EM."""
     if spec.obs_scheme is None:
         raise ParseError("fitting needs observed variables in the spec")
     return em_fit(
         spec.latent_scheme,
         spec.obs_scheme,
-        constraints if constraints is not None else spec.compile(),
+        spec.compile(),
         series,
-        options or spec.options,
+        spec.options,
         label=spec.label,
     )

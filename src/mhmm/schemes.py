@@ -19,6 +19,17 @@ from .errors import DomainError
 BASELINE = 1
 
 
+def _subsets(items) -> tuple[tuple, ...]:
+    """All subsets of items as tuples, by size then position; the empty
+    subset comes first, so `_subsets(items)[1:]` are the nonempty ones."""
+    items = tuple(items)
+    return tuple(
+        itertools.chain.from_iterable(
+            itertools.combinations(items, r) for r in range(len(items) + 1)
+        )
+    )
+
+
 @dataclass(frozen=True)
 class VariableScheme:
     """Ordered collection of categorical variables with category counts."""

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import os
 import subprocess
 import sys
 
@@ -281,6 +282,17 @@ def test_parse_error_exit_code(tmp_path, capsys):
     assert err.startswith("error:parse:")
 
 
+@pytest.mark.parametrize("section", ["[transition]", "[emission]", "[initial]"])
+def test_simulate_rejects_nan_model_cell(tmp_path, tiny_model_file, capsys, section):
+    lines = tiny_model_file.read_text().splitlines()
+    cell = lines.index(section) + 1
+    lines[cell] = f"{lines[cell].split()[0]} nan"
+    tiny_model_file.write_text("\n".join(lines) + "\n")
+    rc = main(["simulate", "--spec", str(tiny_model_file), "--length", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:domain:")
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     rc = main(["count-params", "--spec", str(tmp_path / "absent.spec")])
     assert rc == 2
@@ -320,6 +332,8 @@ def test_module_entry_point_runs(tmp_path):
         [sys.executable, "-m", "mhmm", "count-params", "--spec", str(spec)],
         capture_output=True,
         text=True,
+        # the child imports mhmm from wherever this test process found it
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("total 24")

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -185,3 +187,28 @@ def test_triad_partition_classification():
     obs_parts = (("F1",), ("F2",), ("F3",))
     assert linked.graph.classify(lat_parts, obs_parts) == "linked"
     assert coupled.graph.classify(lat_parts, obs_parts) == "coupled"
+
+
+# sha256 over every conftest spec's compiled zero set and rendered graph
+# statements, recorded before the graph and hypothesis compilers were
+# rewritten; any change to an index, a provenance, a mask or a statement
+# (text or order) moves it.
+GOLDEN_COMPILE = "8bb28ddfac79a3d10ff77dc3e815df3ba14fb5b65564f9895a72f5c14dc1e792"
+
+
+def test_compiled_specs_match_golden_digest():
+    digest = hashlib.sha256()
+    for table_name, table in (("panel", PANEL_TABLE), ("triad", TRIAD_TABLE)):
+        for label, (text, _) in table.items():
+            spec = parse_model_spec(text, label=label)
+            cs = spec.compile()
+            digest.update(f"{table_name}/{label}\n".encode())
+            for index in sorted(cs.entries):
+                digest.update(f"{index!r} {sorted(cs.entries[index])}\n".encode())
+            lat, obs = spec.latent_scheme, spec.obs_scheme
+            for space in (InteractionSpace(lat, lat, "delta"), InteractionSpace(obs, lat, "theta")):
+                digest.update(cs.mask(space).tobytes())
+            for minimal_only in (False, True):
+                for statement in spec.graph.independencies(minimal_only):
+                    digest.update(f"{statement.render()}\n".encode())
+    assert digest.hexdigest() == GOLDEN_COMPILE

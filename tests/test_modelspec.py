@@ -110,6 +110,10 @@ def test_parse_errors_carry_line_numbers():
         "latent E1 2\noption tol 2.0\n",
         "latent E1 2\noption seed -3\n",
         "latent E1 2\noption warp 9\n",
+        "latent E1 2\noption seed nan\n",
+        "latent E1 2\noption max_iter inf\n",
+        "latent E1 2\noption restarts 2.5\n",
+        "latent E1 2\noption restarts 1e3\n",
         "observed F1 2\n",
         "",
     ],
@@ -117,6 +121,11 @@ def test_parse_errors_carry_line_numbers():
 def test_parse_rejects_malformed_specs(text):
     with pytest.raises(ParseError):
         parse_model_spec(text)
+
+
+def test_integer_options_are_kept_exactly():
+    spec = parse_model_spec("latent E1 2\noption seed 9007199254740993\n")
+    assert spec.options.seed == 9007199254740993
 
 
 def test_user_zero_targets_feed_compile():
