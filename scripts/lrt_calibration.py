@@ -8,7 +8,7 @@ empirical exceedance rates are compared against the chi-square reference.
 
 import argparse
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,7 +18,7 @@ from mhmm import (
     VariableScheme,
     chi_square_quantile,
     count_free_parameters,
-    em_fit,
+    fit_specs,
     lrt,
     parse_model_spec,
     simulate,
@@ -58,8 +58,11 @@ def generating_model():
 
 def run(config):
     truth = generating_model()
-    restricted_cs = parse_model_spec(DECL, label="restricted").compile()
-    saturated_cs = parse_model_spec(SATURATED, label="saturated").compile()
+    ladder = [
+        parse_model_spec(DECL, label="restricted"),
+        parse_model_spec(SATURATED, label="saturated"),
+    ]
+    restricted_cs, saturated_cs = (spec.compile() for spec in ladder)
     df = count_free_parameters(LAT, OBS, saturated_cs) - count_free_parameters(
         LAT, OBS, restricted_cs
     )
@@ -71,8 +74,7 @@ def run(config):
         opts = FitOptions(
             restarts=config.restarts, seed=config.seed + rep, max_iter=config.max_iter
         )
-        restricted = em_fit(LAT, OBS, restricted_cs, series, opts, label="restricted")
-        saturated = em_fit(LAT, OBS, saturated_cs, series, opts, label="saturated")
+        restricted, saturated = fit_specs([replace(spec, options=opts) for spec in ladder], series)
         stat = lrt(restricted, saturated).statistic
         stats.append(stat)
         print(f"rep {rep:3d}  stat {stat:8.4f}")

@@ -7,7 +7,7 @@ win on AIC; the over-restricted own-emission model should be rejected.
 """
 
 import argparse
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -15,7 +15,7 @@ from mhmm import (
     FitOptions,
     MhmmModel,
     VariableScheme,
-    em_fit,
+    fit_specs,
     model_table,
     parse_model_spec,
     simulate,
@@ -65,15 +65,11 @@ def main():
     truth = generating_model(np.random.default_rng(config.seed))
     _, series = simulate(truth, config.length, seed=config.seed)
 
-    fits = []
-    for label, text in LADDER:
-        spec = parse_model_spec(text, label=label)
-        opts = FitOptions(
-            restarts=config.restarts, seed=config.seed, max_iter=config.max_iter
-        )
-        fit = em_fit(LAT, OBS, spec.compile(), series, opts, label=label)
-        fits.append(fit)
-        print(f"fitted {label:<18} loglike {fit.log_lik:10.4f} par {fit.par}")
+    opts = FitOptions(restarts=config.restarts, seed=config.seed, max_iter=config.max_iter)
+    specs = [replace(parse_model_spec(text, label=label), options=opts) for label, text in LADDER]
+    fits = fit_specs(specs, series)
+    for fit in fits:
+        print(f"fitted {fit.label:<18} loglike {fit.log_lik:10.4f} par {fit.par}")
 
     table = model_table(fits[1:], reference=fits[0])
     print()

@@ -43,7 +43,7 @@ from .model import (
     write_model,
     write_series_csv,
 )
-from .modelspec import ModelSpec, fit_spec, parse_model_spec, read_model_spec
+from .modelspec import ModelSpec, fit_spec, fit_specs, parse_model_spec, read_model_spec
 from .schemes import BASELINE, VariableScheme
 from .selection import (
     LrtOutcome,
@@ -87,6 +87,7 @@ __all__ = [
     "count_free_parameters",
     "em_fit",
     "fit_spec",
+    "fit_specs",
     "forward_backward",
     "graph_constraints",
     "graphs_equivalent",

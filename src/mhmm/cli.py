@@ -5,7 +5,9 @@ Every failure prints a single machine-parsable line `error:<category>: ...`
 on stderr; exit status is 0 on success, 2 on domain/parse errors, 3 on
 numerical failures. Reports print with fixed 4-decimal precision; CSV
 artifacts keep full precision. All randomness flows from the seed option
-(default 0), so identical inputs give byte-identical outputs.
+(default 0), so identical inputs give byte-identical outputs. compare fits
+all its specs in one lock-step EM (modelspec.fit_specs); its tables and its
+errors are those of fitting the specs one after another.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .fit import FitResult
 from .graphs import graphs_equivalent
 from .interactions import serialize_interactions
 from .model import read_model, read_series_csv, simulate, write_model, write_series_csv
-from .modelspec import ModelSpec, fit_spec, read_model_spec
+from .modelspec import ModelSpec, fit_spec, fit_specs, read_model_spec
 from .selection import aic, model_table
 
 
@@ -47,7 +49,10 @@ def _build_parser() -> _Parser:
     sim.add_argument("--out", default=".", help="output directory")
     sim.add_argument("--seed", type=int, default=0)
 
-    cmp_ = sub.add_parser("compare", help="fit several specs and tabulate them")
+    cmp_ = sub.add_parser(
+        "compare",
+        help="fit several specs to one series in one lock-step EM and tabulate them",
+    )
     cmp_.add_argument("--spec", action="append", required=True, help="repeatable; first is the reference")
     cmp_.add_argument("--data", required=True)
     cmp_.add_argument("--out", default=".")
@@ -92,6 +97,7 @@ def _fit_report(result: FitResult) -> str:
         f"fingerprint {result.data_fingerprint}",
         f"loglike {result.log_lik:.4f}",
         f"par {result.par}",
+        f"dim {result.dim}",
         f"aic {aic(result):.4f}",
         f"iterations {result.iterations}",
         f"converged {'yes' if result.converged else 'no'}",
@@ -145,7 +151,7 @@ def _cmd_compare(args) -> int:
         raise ParseError("compare needs at least two --spec files")
     specs = [_with_overrides(read_model_spec(p), args) for p in args.spec]
     series = _read_series(args.data, specs[0])
-    fits = [fit_spec(spec, series) for spec in specs]
+    fits = fit_specs(specs, series)
     table = model_table(fits, reference=fits[0])
     out = _out_dir(args)
     text_path = out / "comparison.txt"

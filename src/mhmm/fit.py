@@ -20,13 +20,19 @@ full M-step would decrease the observed-data log-likelihood, which keeps the
 recorded trace monotone despite the ignored initial-law term. When no damped
 step avoids a decrease, the fit stops and reports that it did not converge.
 
-The restarts run in lock-step: each EM iteration makes the per-restart
-M-steps, then one batched E-step (model.expected_counts) over every restart
-still running, and each damping halving one more over the rows still
-decreasing. A restart leaves the batch when it converges, stalls or fails.
-Each row of a batched E-step equals the single-model recursion bitwise, so
-every restart, the winner and the written artifacts are the same as with
-restarts run one after another; a FitResult records how each restart ended.
+EM runs in lock-step over rows. A row is one restart of one problem, and a
+problem is one constrained fit of the series with its own spaces, masks,
+label and FitOptions; em_fit fits one problem, modelspec.fit_specs several.
+Each EM iteration makes the per-row M-steps, then one batched E-step
+(model.expected_counts) over every running row that shares a latent scheme,
+and each damping halving one more over the rows still decreasing. A stack
+is cut into chunks of at most ESTEP_STACK_BYTES of recursion buffers, but
+never below the largest restart count among its problems. A row leaves the
+batch at its own max_iter or tol, or when it stalls or fails. Each row of a
+batched E-step equals the single-model recursion bitwise, so every restart,
+the winner and the written artifacts are the same as with problems and
+restarts fitted one after another; a FitResult records how each restart
+ended.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constraints import ConstraintSet, count_free_parameters
+from .constraints import ConstraintSet, count_free_parameters, total_parameter_count
 from .errors import DomainError, NumericalError
 from .interactions import (
     InteractionSpace,
@@ -119,6 +125,14 @@ class FitResult:
         """True when the fit stopped on the relative-gain tolerance; the
         winning restart's stop_reason is "tol", "stalled" or "max_iter"."""
         return self.stop_reason == "tol"
+
+    @property
+    def dim(self) -> int:
+        """Coordinates actually estimated: the free entries of the delta and
+        theta masks. par tallies an invariant-association zero again where a
+        graph zero already sits (see constraints.py), so par <= dim."""
+        cs = self.constraints
+        return total_parameter_count(cs.latent_scheme, cs.obs_scheme) - cs.distinct_count()
 
 
 # Keeps EM iterates safely interior; a cell this small carries no data anyway.
@@ -335,6 +349,12 @@ def constrained_m_step(
 
 # -- EM driver -------------------------------------------------------------------
 
+# Bytes of the forward-backward buffers (b, alpha and beta: 3 T n floats a
+# row) that one stacked E-step may hold. A stack of rows is cut into chunks
+# of this size, but never below the largest restart count among its
+# problems, since one such fit already holds that many rows at once.
+ESTEP_STACK_BYTES = 32 * 2**20
+
 
 @dataclass
 class _EmState:
@@ -346,20 +366,58 @@ class _EmState:
 
 
 @dataclass
-class _Restart:
-    """Progress of one restart through the lock-step EM."""
+class _Problem:
+    """One constrained fit of a series: spaces, zero masks, options, label."""
 
+    latent_scheme: VariableScheme
+    obs_scheme: VariableScheme
+    constraints: ConstraintSet
+    options: FitOptions
+    label: str
+    dspace: InteractionSpace
+    tspace: InteractionSpace
+    dmask: np.ndarray
+    tmask: np.ndarray
+
+    @classmethod
+    def build(cls, latent_scheme, obs_scheme, constraints, series, options=None, label=""):
+        if series.scheme != obs_scheme:
+            raise DomainError("series scheme does not match the observable scheme")
+        dspace = InteractionSpace(latent_scheme, latent_scheme, "delta")
+        tspace = InteractionSpace(obs_scheme, latent_scheme, "theta")
+        return cls(
+            latent_scheme, obs_scheme, constraints, options or FitOptions(), label,
+            dspace, tspace, constraints.mask(dspace), constraints.mask(tspace),
+        )
+
+    def start(self, restart: int):
+        """Free starting coordinates of a restart, uniform in [-0.5, 0.5]."""
+        rng = np.random.default_rng([self.options.seed, restart])
+        delta0 = rng.uniform(-0.5, 0.5, self.dmask.shape)
+        delta0[self.dmask] = 0.0
+        theta0 = rng.uniform(-0.5, 0.5, self.tmask.shape)
+        theta0[self.tmask] = 0.0
+        return delta0, theta0
+
+
+@dataclass
+class _Restart:
+    """Progress of one (problem, restart) row through the lock-step EM."""
+
+    problem: _Problem
+    restart: int
     state: _EmState | None = None  # last accepted iterate
     trace: list = field(default_factory=list)
     iterations: int = 0
     stop_reason: str = "max_iter"
     error: str | None = None
 
-    def record(self, restart: int) -> RestartRecord:
+    def record(self) -> RestartRecord:
         log_lik = np.nan if self.state is None else self.state.log_lik
         stop_reason = self.stop_reason if self.error is None else "error"
         return RestartRecord(
-            restart, log_lik, self.iterations, stop_reason, self.error, np.asarray(self.trace)
+            self.restart, log_lik, self.iterations, stop_reason, self.error,
+            np.asarray(self.trace),
         )
 
 
@@ -388,144 +446,159 @@ def em_fit(
     wins, the first restart on ties. After fitting, latent state labels are
     put in canonical order.
     """
-    options = options or FitOptions()
-    if series.scheme != obs_scheme:
-        raise DomainError("series scheme does not match the observable scheme")
-    dspace = InteractionSpace(latent_scheme, latent_scheme, "delta")
-    tspace = InteractionSpace(obs_scheme, latent_scheme, "theta")
-    dmask = constraints.mask(dspace)
-    tmask = constraints.mask(tspace)
+    problem = _Problem.build(latent_scheme, obs_scheme, constraints, series, options, label)
+    return _fit_problems([problem], series)[0]
 
-    starts = []
-    for restart in range(options.restarts):
-        rng = np.random.default_rng([options.seed, restart])
-        delta0 = rng.uniform(-0.5, 0.5, dmask.shape)
-        delta0[dmask] = 0.0
-        theta0 = rng.uniform(-0.5, 0.5, tmask.shape)
-        theta0[tmask] = 0.0
-        starts.append((delta0, theta0))
-    runs = _run_em(
-        latent_scheme, obs_scheme, dspace, tspace, dmask, tmask, starts, series, options
-    )
-    fitted = [r for r, run in enumerate(runs) if run.error is None]
+
+def _fit_problems(problems: list[_Problem], series: ObservedSeries) -> list[FitResult]:
+    """Fit several problems of one series in lock-step; one FitResult each,
+    equal bitwise to em_fit on the problem alone. Raises the NumericalError
+    of the first problem, in order, whose every restart failed."""
+    return [_fit_result(runs, series) for runs in _run_em(problems, series)]
+
+
+def _fit_result(runs: list[_Restart], series: ObservedSeries) -> FitResult:
+    """The best restart of one problem, with canonical state labels."""
+    problem = runs[0].problem
+    fitted = [run for run in runs if run.error is None]
     if not fitted:
         raise NumericalError(
             "every EM restart failed numerically: "
-            + "; ".join(f"restart {r}: {run.error}" for r, run in enumerate(runs[:3]))
+            + "; ".join(f"restart {run.restart}: {run.error}" for run in runs[:3])
         )
-    best_restart = max(fitted, key=lambda r: runs[r].state.log_lik)
-    best = runs[best_restart]
-    records = tuple(run.record(r) for r, run in enumerate(runs))
-
+    best = max(fitted, key=lambda run: run.state.log_lik)
+    records = tuple(run.record() for run in runs)
     model, delta_values, theta_values = _canonicalize(
-        best.state.model, best.state.delta, best.state.theta, dspace, tspace, dmask, tmask
+        best.state.model, best.state.delta, best.state.theta,
+        problem.dspace, problem.tspace, problem.dmask, problem.tmask,
     )
-    par = count_free_parameters(latent_scheme, obs_scheme, constraints)
     return FitResult(
         model=model,
-        delta=InteractionTable(dspace, delta_values),
-        theta=InteractionTable(tspace, theta_values),
-        constraints=constraints,
+        delta=InteractionTable(problem.dspace, delta_values),
+        theta=InteractionTable(problem.tspace, theta_values),
+        constraints=problem.constraints,
         log_lik=best.state.log_lik,
         iterations=best.iterations,
         stop_reason=best.stop_reason,
-        em_trace=records[best_restart].trace,
-        par=par,
+        em_trace=records[best.restart].trace,
+        par=count_free_parameters(problem.latent_scheme, problem.obs_scheme, problem.constraints),
         data_fingerprint=series.fingerprint,
-        label=label,
-        seed=options.seed,
-        best_restart=best_restart,
+        label=problem.label,
+        seed=problem.options.seed,
+        best_restart=best.restart,
         restarts=records,
     )
 
 
-def _run_em(
-    latent_scheme, obs_scheme, dspace, tspace, dmask, tmask, starts, series, options,
-) -> list[_Restart]:
-    """EM from every (delta, theta) start in lock-step; one _Restart each.
+def _stack_rows(problems: list[_Problem], length: int) -> dict:
+    """Rows per stacked E-step for each latent scheme: as many as
+    ESTEP_STACK_BYTES holds, and at least the scheme's largest restart count."""
+    rows = {}
+    for problem in problems:
+        scheme = problem.latent_scheme
+        in_budget = ESTEP_STACK_BYTES // (3 * length * scheme.n_states * 8)
+        rows[scheme] = max(rows.get(scheme, in_budget), problem.options.restarts)
+    return rows
 
-    An iteration makes the per-restart M-steps, then one batched E-step
-    (expected_counts) over all candidates; each damping halving makes one
-    more over the rows whose log-likelihood still falls. A restart leaves
-    the batch when it converges, stalls or raises NumericalError. Rows of a
-    batched E-step equal single-model ones bitwise, so every restart follows
-    the path it would follow alone.
+
+def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Restart]]:
+    """EM for every (problem, restart) row in lock-step; one _Restart list per problem.
+
+    An iteration makes the per-row M-steps, then one batched E-step
+    (expected_counts) over the candidates of all rows that share a latent
+    scheme, in chunks of _stack_rows; each damping halving makes one more
+    over the rows whose log-likelihood still falls. A row leaves the batch
+    at its problem's max_iter or tol, or when it stalls or raises
+    NumericalError. Rows of a batched E-step equal single-model ones
+    bitwise, so every row follows the path it would follow alone.
     """
-    runs = [_Restart() for _ in starts]
+    grouped = [[_Restart(p, r) for r in range(p.options.restarts)] for p in problems]
+    runs = [run for group in grouped for run in group]
+    stack_rows = _stack_rows(problems, len(series))
 
-    def candidate(r, delta, theta, probs=None):
-        """The iterate at (delta, theta), or None once restart r has failed."""
+    def candidate(run, delta, theta, probs=None):
+        """The iterate at (delta, theta), or None once the row has failed."""
+        p = run.problem
         try:
             if probs is None:
-                probs = _probs_of(dspace, delta), _probs_of(tspace, theta)
+                probs = _probs_of(p.dspace, delta), _probs_of(p.tspace, theta)
             model = MhmmModel.from_tables(
-                latent_scheme, obs_scheme, _floored(probs[0]), _floored(probs[1])
+                p.latent_scheme, p.obs_scheme, _floored(probs[0]), _floored(probs[1])
             )
         except NumericalError as exc:
-            runs[r].error = str(exc)
+            run.error = str(exc)
             return None
         return _EmState(delta, theta, model)
 
     def e_step(states: dict) -> dict:
-        """One batched E-step; drops the iterates whose restart failed."""
-        states = {r: state for r, state in states.items() if state is not None}
-        if not states:
-            return {}
-        results = expected_counts([state.model for state in states.values()], series)
-        done = {}
-        for (r, state), result in zip(states.items(), results):
-            if isinstance(result, NumericalError):
-                runs[r].error = str(result)
-                continue
-            state.counts, state.log_lik = result[:2], result[2]
-            done[r] = state
-        return done
+        """Batched E-steps, a chunked stack per latent scheme; drops the
+        iterates whose row failed and keeps the order of the others."""
+        stacks = {}
+        for i, state in states.items():
+            if state is not None:
+                stacks.setdefault(runs[i].problem.latent_scheme, []).append(i)
+        for scheme, rows in stacks.items():
+            size = stack_rows[scheme]
+            for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
+                results = expected_counts([states[i].model for i in chunk], series)
+                for i, result in zip(chunk, results):
+                    if isinstance(result, NumericalError):
+                        runs[i].error = str(result)
+                    else:
+                        states[i].counts, states[i].log_lik = result[:2], result[2]
+        return {
+            i: state for i, state in states.items()
+            if state is not None and runs[i].error is None
+        }
 
-    def falls(r, state) -> bool:
-        previous = runs[r].state.log_lik
+    def falls(i, state) -> bool:
+        previous = runs[i].state.log_lik
         return state.log_lik < previous - 1e-12 * (1.0 + abs(previous))
 
-    def halved(r, state):
-        accepted = runs[r].state
+    def halved(i, state):
+        accepted = runs[i].state
         return candidate(
-            r, 0.5 * (state.delta + accepted.delta), 0.5 * (state.theta + accepted.theta)
+            runs[i], 0.5 * (state.delta + accepted.delta), 0.5 * (state.theta + accepted.theta)
         )
 
-    active = e_step({r: candidate(r, *start) for r, start in enumerate(starts)})
-    for r, state in active.items():
-        runs[r].state = state
-        runs[r].trace.append(state.log_lik)
-    for iteration in range(1, options.max_iter + 1):
-        if not active:
-            break
+    active = e_step(
+        {i: candidate(run, *run.problem.start(run.restart)) for i, run in enumerate(runs)}
+    )
+    for i, state in active.items():
+        runs[i].state = state
+        runs[i].trace.append(state.log_lik)
+    iteration = 0
+    while active:
+        iteration += 1
         proposals = {}
-        for r, state in active.items():
-            runs[r].iterations = iteration
+        for i, state in active.items():
+            run, p = runs[i], runs[i].problem
+            run.iterations = iteration
             try:
                 delta, dprobs = constrained_m_step(
-                    dspace, state.counts[0], dmask, warm=state.delta
+                    p.dspace, state.counts[0], p.dmask, warm=state.delta
                 )
                 theta, tprobs = constrained_m_step(
-                    tspace, state.counts[1], tmask, warm=state.theta
+                    p.tspace, state.counts[1], p.tmask, warm=state.theta
                 )
             except NumericalError as exc:
-                runs[r].error = str(exc)
+                run.error = str(exc)
                 continue
-            proposals[r] = candidate(r, delta, theta, (dprobs, tprobs))
+            proposals[i] = candidate(run, delta, theta, (dprobs, tprobs))
         proposals = e_step(proposals)
-        falling = [r for r, state in proposals.items() if falls(r, state)]
+        falling = [i for i, state in proposals.items() if falls(i, state)]
         for _ in range(30):
             if not falling:
                 break
-            retried = e_step({r: halved(r, proposals[r]) for r in falling})
+            retried = e_step({i: halved(i, proposals[i]) for i in falling})
             proposals.update(retried)
-            falling = [r for r, state in retried.items() if falls(r, state)]
+            falling = [i for i, state in retried.items() if falls(i, state)]
         active = {}
-        for r, state in proposals.items():
-            run = runs[r]
+        for i, state in proposals.items():
+            run, options = runs[i], runs[i].problem.options
             if run.error is not None:
                 continue
-            if falls(r, state):
+            if falls(i, state):
                 # no damped step keeps the likelihood from falling: a stall
                 run.stop_reason = "stalled"
                 continue
@@ -534,9 +607,9 @@ def _run_em(
             run.trace.append(state.log_lik)
             if gain <= options.tol * (1.0 + abs(state.log_lik)):
                 run.stop_reason = "tol"
-            else:
-                active[r] = state
-    return runs
+            elif iteration < options.max_iter:
+                active[i] = state
+    return grouped
 
 
 # -- canonical state labels ---------------------------------------------------------

@@ -298,17 +298,20 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
         log_b = np.log(b)
         log_pi = np.log(model.initial)
     score = log_pi + log_b[0]
-    back = np.zeros((T, n), dtype=int)
+    back = np.zeros((T, n), dtype=np.intp)
+    candidate = np.empty((n, n))
+    # max picks exactly the element argmax points at, so the running score
+    # needs no gather; argmax returns the first maximum (smallest index)
     for t in range(1, T):
-        candidate = score[:, None] + log_a
-        back[t] = np.argmax(candidate, axis=0)
-        score = candidate[back[t], np.arange(n)] + log_b[t]
-    path = np.empty(T, dtype=int)
+        np.add(score[:, None], log_a, out=candidate)
+        candidate.argmax(axis=0, out=back[t])
+        candidate.max(axis=0, out=score)
+        score += log_b[t]
+    path = np.empty(T, dtype=np.intp)
     path[-1] = int(np.argmax(score))
     for t in range(T - 2, -1, -1):
         path[t] = back[t + 1][path[t + 1]]
-    states = model.latent_scheme.states
-    return np.array([states[i] for i in path], dtype=int)
+    return np.array(model.latent_scheme.states, dtype=int)[path]
 
 
 def _choice_tables(probs: np.ndarray) -> np.ndarray:

@@ -30,8 +30,8 @@ from .constraints import (
     invariant_association_constraints,
     user_zero_constraints,
 )
-from .errors import DomainError, ParseError
-from .fit import FitOptions, FitResult, em_fit
+from .errors import DomainError, MhmmError, ParseError
+from .fit import FitOptions, FitResult, _fit_problems, _Problem, em_fit
 from .graphs import MixedChainGraph
 from .model import ObservedSeries
 from .schemes import VariableScheme
@@ -242,15 +242,27 @@ def read_model_spec(path, label: str | None = None) -> ModelSpec:
     return parse_model_spec(p.read_text(), label=label or p.stem)
 
 
-def fit_spec(spec: ModelSpec, series: ObservedSeries) -> FitResult:
-    """Compile a spec and fit it to a series by constrained EM."""
+def _fit_args(spec: ModelSpec, series: ObservedSeries) -> tuple:
     if spec.obs_scheme is None:
         raise ParseError("fitting needs observed variables in the spec")
-    return em_fit(
-        spec.latent_scheme,
-        spec.obs_scheme,
-        spec.compile(),
-        series,
-        spec.options,
-        label=spec.label,
-    )
+    return spec.latent_scheme, spec.obs_scheme, spec.compile(), series, spec.options, spec.label
+
+
+def fit_spec(spec: ModelSpec, series: ObservedSeries) -> FitResult:
+    """Compile a spec and fit it to a series by constrained EM."""
+    return em_fit(*_fit_args(spec, series))
+
+
+def fit_specs(specs, series: ObservedSeries) -> list[FitResult]:
+    """Fit several specs to one series, every restart of every spec in one
+    lock-step EM (see fit.py); one FitResult per spec, each equal bitwise to
+    fit_spec's. Errors are those of fitting the specs one after another: the
+    first spec in order that fails raises."""
+    problems = []
+    try:
+        for spec in specs:
+            problems.append(_Problem.build(*_fit_args(spec, series)))
+    except MhmmError:
+        _fit_problems(problems, series)  # an earlier spec's failure comes first
+        raise
+    return _fit_problems(problems, series)

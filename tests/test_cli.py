@@ -9,7 +9,16 @@ import pytest
 
 import mhmm.cli
 import mhmm.fit
-from mhmm import MhmmModel, NumericalError, VariableScheme, read_model, write_model
+from mhmm import (
+    MhmmModel,
+    NumericalError,
+    VariableScheme,
+    fit_spec,
+    read_model,
+    read_model_spec,
+    read_series_csv,
+    write_model,
+)
 from mhmm.cli import main
 
 TINY = (
@@ -118,6 +127,17 @@ def test_fit_outputs_are_deterministic(tmp_path, tiny_model_file):
     assert outputs[0] == outputs[1]
 
 
+def test_fit_report_prints_dim_after_par(tmp_path, tiny_model_file):
+    sim_dir = tmp_path / "sim"
+    main(["simulate", "--spec", str(tiny_model_file), "--length", "100", "--out", str(sim_dir)])
+    spec_path = write_spec(tmp_path, "tiny", TINY)
+    fit_dir = tmp_path / "fit"
+    main(["fit", "--spec", str(spec_path), "--data", str(sim_dir / "series.csv"), "--out", str(fit_dir)])
+    report = (fit_dir / "tiny.fit.txt").read_text().splitlines()
+    at = report.index("par 6")
+    assert report[at + 1] == "dim 6"
+
+
 def test_cli_seed_overrides_spec_option(tmp_path, tiny_model_file, capsys):
     sim_dir = tmp_path / "sim"
     main(["simulate", "--spec", str(tiny_model_file), "--length", "100", "--out", str(sim_dir)])
@@ -182,6 +202,39 @@ def test_compare_writes_table_with_reference_first(tmp_path, capsys):
     # stdout shows the same table
     out = capsys.readouterr().out
     assert "reference: saturated" in out
+
+
+def test_compare_exits_3_with_the_first_failing_spec_in_order(tmp_path, monkeypatch, capsys):
+    # every restart of both Granger-restricted specs fails in its first
+    # delta M-step, with a message that tells the two specs apart
+    real = mhmm.fit.constrained_m_step
+
+    def failing(space, counts, mask, warm=None, **kwargs):
+        if space.kind == "delta" and mask.any():
+            raise NumericalError(f"forced failure {np.abs(warm).sum():.6f}")
+        return real(space, counts, mask, warm=warm, **kwargs)
+
+    monkeypatch.setattr(mhmm.fit, "constrained_m_step", failing)
+    data = simulate_two_var_series(tmp_path)
+    texts = {
+        "saturated": TINY_FULLDEP,
+        "nogranger": TINY_NOGRANGER.replace("option seed 1", "option seed 2"),
+        "nogranger3": TINY_NOGRANGER.replace("option seed 1", "option seed 3"),
+    }
+    paths = [write_spec(tmp_path, label, text) for label, text in texts.items()]
+    specs = [read_model_spec(path) for path in paths]
+    series = read_series_csv(data.read_text(), specs[0].obs_scheme)
+    messages = []
+    for spec in specs:
+        try:
+            fit_spec(spec, series)
+        except NumericalError as exc:
+            messages.append(str(exc))
+    assert len(set(messages)) == 2
+    argv = ["compare", "--data", str(data), "--out", str(tmp_path / "cmp")]
+    rc = main(argv + [arg for path in paths for arg in ("--spec", str(path))])
+    assert rc == 3
+    assert capsys.readouterr().err == f"error:numeric: {messages[0]}\n"
 
 
 # sha256 of the artifacts of the fit below, recorded with the sequential

@@ -11,11 +11,14 @@ from mhmm import (
     InteractionSpace,
     MhmmModel,
     NumericalError,
+    ParseError,
     VariableScheme,
     additivity_constraints,
     constrained_m_step,
     count_free_parameters,
     em_fit,
+    fit_spec,
+    fit_specs,
     graph_constraints,
     interactions_from_table,
     log_likelihood,
@@ -399,3 +402,144 @@ def test_em_canonical_labels_are_stable_across_seeds():
     orders_b = canonical_state_orders(b.model)
     assert all(o == tuple(range(1, len(o) + 1)) for o in orders_a)
     assert all(o == tuple(range(1, len(o) + 1)) for o in orders_b)
+
+
+# Nested ladder on LAT x OBS: 32, 28 and 22 free coordinates
+LADDER_DECL = (
+    "latent E1 2\nlatent E2 2\nobserved F1 3\nobserved F2 2\nbidir E1 <-> E2\n"
+)
+ALL_EMIT = "".join(f"emit E{i} -> F{j}\n" for i in (1, 2) for j in (1, 2))
+LADDER = {
+    "saturated": LADDER_DECL + ALL_EMIT + "bidir F1 <-> F2\ndir E1 -> E2\ndir E2 -> E1\n",
+    "noGranger": LADDER_DECL + ALL_EMIT + "bidir F1 <-> F2\n",
+    "ownEmit": LADDER_DECL + "emit E1 -> F1\nemit E2 -> F2\nbidir F1 <-> F2\n",
+}
+# one ternary latent variable: a second latent scheme over the same series
+SINGLE_CHAIN = "latent E1 3\nobserved F1 3\nobserved F2 2\nemit E1 -> F1\nemit E1 -> F2\n"
+
+
+def batch_specs():
+    """Specs differing in restarts, seed, max_iter and tol, over two latent schemes."""
+    options = [
+        "option restarts 3\noption seed 4\noption max_iter 60\n",
+        "option restarts 2\noption seed 1\noption max_iter 25\noption tol 1e-4\n",
+        "option restarts 1\noption seed 9\noption max_iter 40\noption tol 1e-6\n",
+        "option restarts 2\noption seed 5\noption max_iter 30\n",
+    ]
+    texts = [LADDER["saturated"], LADDER["noGranger"], SINGLE_CHAIN, LADDER["ownEmit"]]
+    return [
+        parse_model_spec(text + opts, label=f"spec{k}")
+        for k, (text, opts) in enumerate(zip(texts, options))
+    ]
+
+
+def assert_same_fit(got, expected):
+    assert got.label == expected.label
+    assert (got.iterations, got.stop_reason, got.best_restart) == (
+        expected.iterations, expected.stop_reason, expected.best_restart
+    )
+    assert got.log_lik == expected.log_lik
+    assert np.array_equal(got.em_trace, expected.em_trace)
+    for name in ("transition", "emission", "initial"):
+        assert np.array_equal(getattr(got.model, name), getattr(expected.model, name))
+    assert np.array_equal(got.delta.values, expected.delta.values)
+    assert np.array_equal(got.theta.values, expected.theta.values)
+    assert len(got.restarts) == len(expected.restarts)
+    for a, b in zip(got.restarts, expected.restarts):
+        assert (a.restart, a.iterations, a.stop_reason, a.error) == (
+            b.restart, b.iterations, b.stop_reason, b.error
+        )
+        assert np.array_equal(a.trace, b.trace)
+        assert a.log_lik == b.log_lik or (np.isnan(a.log_lik) and np.isnan(b.log_lik))
+
+
+def counting_e_step(monkeypatch):
+    """Record the row count of every expected_counts call the EM makes."""
+    real = mhmm.fit.expected_counts
+    sizes = []
+
+    def counting(models, series):
+        sizes.append(len(models))
+        return real(models, series)
+
+    monkeypatch.setattr(mhmm.fit, "expected_counts", counting)
+    return sizes
+
+
+@pytest.fixture(scope="module")
+def batch_series():
+    _, series = simulate(generating_model(), 300, seed=8)
+    return series
+
+
+def test_batched_specs_equal_lone_fits(batch_series, monkeypatch):
+    specs = batch_specs()
+    alone = [fit_spec(spec, batch_series) for spec in specs]
+    sizes = counting_e_step(monkeypatch)
+    batched = fit_specs(specs, batch_series)
+    for got, expected in zip(batched, alone, strict=True):
+        assert_same_fit(got, expected)
+    # the first E-step stacks the 3 + 2 + 2 starts of the 2 x 2 latent specs
+    # and, apart, the single-chain start
+    assert sizes[:2] == [7, 1]
+    assert {fit.stop_reason for fit in alone} >= {"tol", "max_iter"}
+    assert len({fit.iterations for fit in alone}) > 1
+
+
+def test_forced_chunk_split_gives_the_same_rows(batch_series, monkeypatch):
+    specs = batch_specs()
+    whole = fit_specs(specs, batch_series)
+    sizes = counting_e_step(monkeypatch)
+    # a budget of one byte leaves chunks of the largest restart count, 3
+    monkeypatch.setattr(mhmm.fit, "ESTEP_STACK_BYTES", 1)
+    split = fit_specs(specs, batch_series)
+    assert max(sizes) == 3 and sizes[:4] == [3, 3, 1, 1]
+    for got, expected in zip(split, whole, strict=True):
+        assert_same_fit(got, expected)
+
+
+def test_stack_rows_follow_the_budget():
+    _, series = simulate(generating_model(), 10, seed=0)
+    cs = parse_model_spec(LADDER["saturated"], label="s").compile()
+    problems = [
+        mhmm.fit._Problem.build(LAT, OBS, cs, series, FitOptions(restarts=r)) for r in (2, 4)
+    ]
+    row_bytes = 3 * 1000 * LAT.n_states * 8
+    assert mhmm.fit._stack_rows(problems, 1000) == {LAT: mhmm.fit.ESTEP_STACK_BYTES // row_bytes}
+    # a long series still stacks the largest problem's restarts
+    assert mhmm.fit._stack_rows(problems, 10**9) == {LAT: 4}
+
+
+def test_dim_counts_free_mask_entries(batch_series):
+    overlap = LADDER_DECL + ALL_EMIT + "hypothesis invariant_association emission\n"
+    texts = {**LADDER, "overlap": overlap}
+    options = "option restarts 1\noption max_iter 2\n"
+    specs = [parse_model_spec(text + options, label=label) for label, text in texts.items()]
+    fits = {fit.label: fit for fit in fit_specs(specs, batch_series)}
+    for label, fit in fits.items():
+        cs = fit.constraints
+        free = np.count_nonzero(~cs.mask(fit.delta.space))
+        free += np.count_nonzero(~cs.mask(fit.theta.space))
+        assert fit.dim == free
+    assert [fits[label].par for label in LADDER] == [32, 28, 22]
+    assert all(fits[label].dim == fits[label].par for label in LADDER)
+    # without bidir F1 <-> F2 the graph zeroes every F1,F2 coefficient, and
+    # invariant association zeroes those with a latent margin once more
+    assert fits["overlap"].par < fits["overlap"].dim
+
+
+def test_fit_specs_raises_in_spec_order(batch_series, monkeypatch):
+    fits = parse_model_spec(LADDER["noGranger"] + "option restarts 1\n", label="ng")
+    bare = parse_model_spec("latent E1 2\n", label="bare")  # nothing to fit
+    with pytest.raises(ParseError):
+        fit_specs([fits, bare], batch_series)
+
+    def failing(models, series):
+        return [NumericalError("forced failure") for _ in models]
+
+    monkeypatch.setattr(mhmm.fit, "expected_counts", failing)
+    # the earlier spec fails first, as it would fitted alone before the other
+    with pytest.raises(NumericalError):
+        fit_specs([fits, bare], batch_series)
+    with pytest.raises(ParseError):
+        fit_specs([bare, fits], batch_series)

@@ -200,6 +200,20 @@ def test_viterbi_breaks_ties_to_smallest_index():
     assert np.array_equal(viterbi(m, s), np.ones((3, 1), dtype=int))
 
 
+# sha256 of the path below as little-endian int64, recorded with the
+# gather-per-step recursion that the in-place max/argmax loop replaced
+GOLDEN_VITERBI_20K = "4f02461fff9b845bfe2873080c1c3f9ad2158f40daf10008871ce5eee2e39fb3"
+
+
+def test_viterbi_golden_path():
+    model = _two_by_two_model()
+    _, series = simulate(model, 20_000, seed=7)
+    path = viterbi(model, series)
+    assert path.shape == (20_000, 2)
+    digest = hashlib.sha256(np.ascontiguousarray(path, dtype="<i8").tobytes()).hexdigest()
+    assert digest == GOLDEN_VITERBI_20K
+
+
 def test_simulate_reproducible_and_valid():
     m = two_state_model()
     lat_a, ser_a = simulate(m, 200, seed=42)
