@@ -15,6 +15,15 @@ informations are assembled block by block over the conditioning states
 each (k = n_cond m coordinates) a step costs O(n_cond k^2 + n_cond m^3)
 plus the k x k solve in the free coordinates.
 
+The M-step runs in lock-step over count tables that share a space and a
+zero mask (batched_m_step; constrained_m_step is its one-table case). Each
+stage of the iteration is one stacked computation over the tables still
+iterating, while every decision (observed or ridged expected information,
+the solve, the line search, the exit) is taken per table. A matrix product
+whose rounding depends on how many rows it spans is formed per table (see
+interactions._by_block), so each table's solution equals its lone solve
+bitwise, and one table's failure leaves the others unchanged.
+
 A damping guard interpolates back toward the previous iterate whenever a
 full M-step would decrease the observed-data log-likelihood, which keeps the
 recorded trace monotone despite the ignored initial-law term. When no damped
@@ -23,20 +32,24 @@ step avoids a decrease, the fit stops and reports that it did not converge.
 EM runs in lock-step over rows. A row is one restart of one problem, and a
 problem is one constrained fit of the series with its own spaces, masks,
 label and FitOptions; em_fit fits one problem, modelspec.fit_specs several.
-Each EM iteration makes the per-row M-steps, then one batched E-step
-(model.expected_counts) over every running row that shares a latent scheme,
-and each damping halving one more over the rows still decreasing. A stack
-is cut into chunks of at most ESTEP_STACK_BYTES of recursion buffers, but
-never below the largest restart count among its problems. A row leaves the
-batch at its own max_iter or tol, or when it stalls or fails. Each row of a
-batched E-step equals the single-model recursion bitwise, so every restart,
-the winner and the written artifacts are the same as with problems and
-restarts fitted one after another; a FitResult records how each restart
+Each EM iteration makes one batched M-step per group of running rows that
+share a space (by content) and a zero mask, transition tables first, then
+one batched E-step (model.expected_counts) over every running row that
+shares a latent scheme, and each damping halving one more E-step over the
+rows still decreasing. An E-step stack is cut into chunks of at most
+ESTEP_STACK_BYTES of recursion buffers, but never below the largest restart
+count among its problems; an M-step stack into chunks whose k x k matrices
+fit in the same budget, never below one row. A row leaves the batch at its
+own max_iter or tol, or when it stalls or fails. Each row of a batched
+E-step or M-step equals the single-row computation bitwise, so every
+restart, the winner and the written artifacts are the same as with problems
+and restarts fitted one after another; a FitResult records how each restart
 ended.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,9 +59,11 @@ from .errors import DomainError, NumericalError
 from .interactions import (
     InteractionSpace,
     InteractionTable,
+    InversionFailures,
     _invert_rows,
     _jacobian_rows,
     _softmax_rows,
+    contrasts_from_table,
     interactions_from_table,
     table_from_interactions,
 )
@@ -59,6 +74,13 @@ MSTEP_GTOL = 1e-7
 MSTEP_GTOL_ACCEPT = 1e-5
 MSTEP_MAX_ITER = 200
 MSTEP_MAX_HALVINGS = 25
+
+# Bytes of the forward-backward buffers (b, alpha and beta: 3 T n floats a
+# row) that one stacked E-step may hold. A stack of rows is cut into chunks
+# of this size, but never below the largest restart count among its
+# problems, since one such fit already holds that many rows at once. A
+# stacked M-step keeps its k x k matrices within the same budget.
+ESTEP_STACK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -145,30 +167,50 @@ def _floored(probs: np.ndarray, floor: float = EM_FLOOR) -> np.ndarray:
 
 
 class _MStepProblem:
-    """Expected multinomial log-likelihood over free interaction coordinates."""
+    """Expected multinomial log-likelihood over free interaction coordinates.
+
+    counts is one table (n_cond, n_cells) or a stack of tables (rows,
+    n_cond, n_cells) that share the space and mask. The methods take and
+    return arrays with the same leading row axis, and each row of a result
+    equals bitwise the result for its table alone.
+    """
 
     def __init__(self, space: InteractionSpace, counts: np.ndarray, mask: np.ndarray):
         counts = np.asarray(counts, dtype=float)
         n_cond, n_cells = space.condition.n_states, space.response.n_states
-        if counts.shape != (n_cond, n_cells):
-            raise DomainError(f"count table shape {counts.shape}, expected {(n_cond, n_cells)}")
+        if counts.shape[-2:] != (n_cond, n_cells):
+            raise DomainError(
+                f"count table shape {counts.shape[-2:]}, expected {(n_cond, n_cells)}"
+            )
+        if not np.all(np.isfinite(counts)):
+            raise DomainError("count table has non-finite entries")
         if np.any(counts < 0):
             raise DomainError("count table has negative entries")
         self.space = space
         self.counts = counts
-        self.totals = counts.sum(axis=1)
+        self.totals = counts.sum(axis=-1)
         if np.any(self.totals <= 0):
             raise DomainError("every conditioning state needs positive total count")
         self.mask = np.asarray(mask, dtype=bool)
         self.free = ~self.mask.ravel()
         self.m = space.n_columns
 
-    def solve_states(self, theta_values: np.ndarray, warm_x: np.ndarray | None) -> np.ndarray:
-        eta = self.space.zeta @ theta_values
-        return _invert_rows(self.space, eta, x0=warm_x)
+    def take(self, rows) -> "_MStepProblem":
+        """The problem on the given rows of a stack of tables."""
+        part = copy.copy(self)
+        part.counts, part.totals = self.counts[rows], self.totals[rows]
+        return part
 
-    def loglik(self, probs: np.ndarray) -> float:
-        return float(np.sum(self.counts * np.log(probs)))
+    def solve_states(self, theta_values: np.ndarray, warm_x: np.ndarray | None) -> np.ndarray:
+        """Free log-probabilities carrying the coefficient rows theta_values,
+        in blocks of n_cond rows, one block per table; raises
+        InversionFailures naming the blocks that failed (see _invert_rows)."""
+        n_cond = self.space.condition.n_states
+        eta = self.space.zeta @ theta_values.reshape(-1, n_cond, self.m)
+        return _invert_rows(self.space, eta.reshape(-1, self.m), x0=warm_x, block=n_cond)
+
+    def loglik(self, probs: np.ndarray):
+        return np.sum(self.counts * np.log(probs), axis=(-2, -1))
 
     def score(self, probs: np.ndarray):
         """Score in interaction coordinates, g = zeta^T H with h_e = J_e^-T g_e.
@@ -177,9 +219,10 @@ class _MStepProblem:
         inverse blocks j_inv and the rows h of H.
         """
         j_inv = np.linalg.inv(_jacobian_rows(self.space, probs))
-        g_x = self.counts[:, 1:] - self.totals[:, None] * probs[:, 1:]
-        h = (g_x[:, None, :] @ j_inv)[:, 0, :]
-        return (self.space.zeta.T @ h).ravel(), j_inv, h
+        g_x = self.counts[..., 1:] - self.totals[..., None] * probs[..., 1:]
+        h = (g_x[..., None, :] @ j_inv)[..., 0, :]
+        g_theta = self.space.zeta.T @ h
+        return g_theta.reshape(*h.shape[:-2], -1), j_inv, h
 
     def gradient_and_info(
         self, x: np.ndarray, probs: np.ndarray, _curvature: bool = False, _score=None
@@ -200,17 +243,18 @@ class _MStepProblem:
         result of score(probs) when the caller already has it.
         """
         g_theta, j_inv, h = self.score(probs) if _score is None else _score
-        n_cond, m = probs.shape[0], self.m
-        p_free = probs[:, 1:]
-        u = (p_free[:, None, :] @ j_inv)[:, 0, :]
-        w = j_inv.transpose(0, 2, 1) @ (p_free[:, :, None] * j_inv)
-        w = self.totals[:, None, None] * (w - u[:, :, None] * u[:, None, :])
+        lead, n_cond, m = probs.shape[:-2], probs.shape[-2], self.m
+        p_free = probs[..., 1:]
+        j_inv_t = j_inv.swapaxes(-1, -2)
+        u = (p_free[..., None, :] @ j_inv)[..., 0, :]
+        w = j_inv_t @ (p_free[..., :, None] * j_inv)
+        w = self.totals[..., None, None] * (w - u[..., :, None] * u[..., None, :])
         if _curvature:
-            w += j_inv.transpose(0, 2, 1) @ self._curvature_blocks(probs, h) @ j_inv
+            w += j_inv_t @ self._curvature_blocks(probs, h) @ j_inv
         zeta = self.space.zeta
         pairs = (zeta[:, :, None] * zeta[:, None, :]).reshape(n_cond, -1)
-        info = (pairs.T @ w.reshape(n_cond, -1)).reshape(n_cond, n_cond, m, m)
-        info_theta = info.transpose(0, 2, 1, 3).reshape(n_cond * m, n_cond * m)
+        info = (pairs.T @ w.reshape(*lead, n_cond, -1)).reshape(*lead, n_cond, n_cond, m, m)
+        info_theta = info.swapaxes(-3, -2).reshape(*lead, n_cond * m, n_cond * m)
         return g_theta, info_theta
 
     def _curvature_blocks(self, probs: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -225,48 +269,16 @@ class _MStepProblem:
         information of state e; it vanishes where the score does.
         """
         marg, contrast = self.space.marginalizer, self.space.contrast
-        p_free = probs[:, 1:]
+        p_free = probs[..., 1:]
         mg = probs @ marg.T
-        dp = probs[:, :, None] * (np.eye(probs.shape[1])[None, :, 1:] - p_free[:, None, :])
+        dp = probs[..., :, None] * (np.eye(probs.shape[-1])[:, 1:] - p_free[..., None, :])
         g = marg @ dp
         ratio = (h @ contrast) / mg
         pw = p_free * (ratio @ marg[:, 1:])
-        s = -(pw[:, :, None] * p_free[:, None, :] + p_free[:, :, None] * pw[:, None, :])
+        s = -(pw[..., :, None] * p_free[..., None, :] + p_free[..., :, None] * pw[..., None, :])
         diag = np.arange(self.m)
-        s[:, diag, diag] += pw
-        return s - g.transpose(0, 2, 1) @ ((ratio / mg)[:, :, None] * g)
-
-
-def _line_search(problem: _MStepProblem, theta, x, value, step, gnorm):
-    """Halve step until the objective rises, at most MSTEP_MAX_HALVINGS times.
-
-    Returns (theta, x, probs, value, scored) at the accepted point, where
-    scored is its problem.score result if the flat-objective test had to
-    compute it and None otherwise; returns None if no step is accepted.
-    """
-    flat_guard = 1e-12 * (1.0 + abs(value))
-    scale = 1.0
-    for _ in range(MSTEP_MAX_HALVINGS):
-        trial = theta.copy()
-        trial.ravel()[problem.free] += scale * step
-        try:
-            x_trial = problem.solve_states(trial, x)
-        except NumericalError:
-            scale *= 0.5
-            continue
-        probs_trial = _softmax_rows(x_trial)
-        value_trial = problem.loglik(probs_trial)
-        if value_trial > value:
-            return trial, x_trial, probs_trial, value_trial, None
-        if scale == 1.0 and value_trial >= value - flat_guard:
-            # objective flat at float precision: take the full step if it
-            # still shrinks the score, which is where Newton endgames live
-            scored = problem.score(probs_trial)
-            if np.max(np.abs(scored[0][problem.free])) < 0.5 * gnorm:
-                return trial, x_trial, probs_trial, value_trial, scored
-            del scored
-        scale *= 0.5
-    return None
+        s[..., diag, diag] += pw
+        return s - g.swapaxes(-1, -2) @ ((ratio / mg)[..., :, None] * g)
 
 
 def constrained_m_step(
@@ -288,72 +300,244 @@ def constrained_m_step(
     same point; when that fails too, the iteration stops, since retrying
     from an unchanged point would repeat the same computation. Raises
     NumericalError unless the score norm in the free coordinates ends below
-    max(gtol, MSTEP_GTOL_ACCEPT).
+    max(gtol, MSTEP_GTOL_ACCEPT). This is batched_m_step on one table.
     """
+    counts = np.asarray(counts, dtype=float)
+    if warm is not None:
+        warm = np.asarray(warm, dtype=float)[None]
+    (result,) = batched_m_step(space, counts[None], mask, warm, gtol, max_iter)
+    if isinstance(result, NumericalError):
+        raise result
+    return result
+
+
+def batched_m_step(
+    space: InteractionSpace,
+    counts: np.ndarray,
+    mask: np.ndarray,
+    warm: np.ndarray | None = None,
+    gtol: float = MSTEP_GTOL,
+    max_iter: int = MSTEP_MAX_ITER,
+) -> list:
+    """constrained_m_step on a stack of count tables that share a space and mask.
+
+    counts stacks the tables (rows, n_cond, n_cells), and warm, if given,
+    their starting coefficients (rows, n_cond, n_columns). The rows run in
+    lock-step: each stage of the iteration is one stacked computation over
+    the rows still iterating, while every decision (observed or ridged
+    expected information, solve, line search, exit) is taken per row.
+    Returns, per row, (theta_values, probs) or the NumericalError that
+    constrained_m_step raises on that table alone; each row equals that lone
+    call bitwise. Rows are solved in chunks whose k x k matrices fit in
+    ESTEP_STACK_BYTES, never below one row. Raises DomainError on invalid
+    counts.
+    """
+    counts = np.asarray(counts, dtype=float)
+    if counts.ndim != 3:
+        raise DomainError(f"stacked count tables need three axes, got shape {counts.shape}")
     problem = _MStepProblem(space, counts, mask)
     if not problem.mask.any():
-        probs = _floored(problem.counts / problem.totals[:, None])
-        return interactions_from_table(space, probs).values, probs
+        probs = _floored(problem.counts / problem.totals[..., None])
+        return list(zip(space.moebius @ contrasts_from_table(space, probs), probs))
+    rows, k = len(counts), problem.mask.size
+    theta = np.zeros((rows, *problem.mask.shape)) if warm is None else np.array(warm, dtype=float)
+    theta[:, problem.mask] = 0.0
+    # the informations hold up to three k x k matrices a row at once
+    size = max(1, ESTEP_STACK_BYTES // (3 * 8 * k * k))
+    out = []
+    for lo in range(0, rows, size):
+        chunk = np.arange(lo, min(lo + size, rows))
+        out += _newton_rows(problem.take(chunk), theta[chunk], gtol, max_iter)
+    return out
 
-    theta = np.zeros_like(problem.mask, dtype=float) if warm is None else np.array(warm)
-    theta[problem.mask] = 0.0
-    x = problem.solve_states(theta, None)
-    probs = _softmax_rows(x)
-    value = problem.loglik(probs)
-    if not problem.free.any():
-        return theta, _floored(probs)
 
-    free = problem.free
-    scored = None
-    for iteration in range(max_iter + 1):
-        if scored is None:
-            scored = problem.score(probs)
-        g_free = scored[0][free]
-        gnorm = float(np.max(np.abs(g_free)))
-        if gnorm < gtol or iteration == max_iter:
-            break
-        # informations only when a step follows; keep one k x k matrix alive
-        # at a time: the largest space sets peak memory
-        _, info = problem.gradient_and_info(x, probs, _curvature=True, _score=scored)
-        info_free = info[np.ix_(free, free)]
-        del info
-        try:
-            np.linalg.cholesky(info_free)
-        except np.linalg.LinAlgError:
-            del info_free
-            _, info = problem.gradient_and_info(x, probs, _score=scored)
-            info_free = info[np.ix_(free, free)]
-            del info
-            n = info_free.shape[0]
-            info_free.flat[:: n + 1] += 1e-10 * (1.0 + np.trace(info_free) / n)
-        scored = None
-        try:
-            steps = [np.linalg.solve(info_free, g_free)]
-        except np.linalg.LinAlgError:
-            steps = []
-        del info_free
-        steps.append(g_free / max(gnorm, 1.0))
-        for step in steps:
-            moved = _line_search(problem, theta, x, value, step, gnorm)
-            if moved is not None:
-                break
-        if moved is None:
-            break
-        theta, x, probs, value, scored = moved
-    if gnorm < max(gtol, MSTEP_GTOL_ACCEPT):
-        return theta, _floored(probs)
-    raise NumericalError(
-        f"constrained M-step stalled with gradient norm {gnorm:.3e}", residual=gnorm
+@dataclass
+class _Iterates:
+    """Per-row iterates of a lock-step M-step: coefficients, free
+    log-probabilities, distributions, objective and score norm, and the
+    score (g, j_inv, h, as _MStepProblem.score returns it) where scored."""
+
+    theta: np.ndarray
+    x: np.ndarray
+    probs: np.ndarray
+    value: np.ndarray
+    gnorm: np.ndarray
+    score: tuple
+    scored: np.ndarray
+
+    def move(self, rows, theta, x, probs, value):
+        self.theta[rows], self.x[rows], self.probs[rows], self.value[rows] = theta, x, probs, value
+
+    def set_score(self, rows, score):
+        for stack, part in zip(self.score, score):
+            stack[rows] = part
+        self.scored[rows] = True
+
+    def score_of(self, rows):
+        if rows.size == len(self.scored):  # every row: no copy of the m x m blocks
+            return self.score
+        return tuple(stack[rows] for stack in self.score)
+
+
+def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_iter: int) -> list:
+    """The iteration of constrained_m_step on every row of problem in lock-step."""
+    rows, n_cond, m = theta.shape
+    out = [None] * rows
+    try:
+        x = problem.solve_states(theta.reshape(-1, m), None)
+    except InversionFailures as exc:
+        x = exc.x
+        out = [exc.errors.get(r) for r in range(rows)]
+    alive = np.array([r for r, error in enumerate(out) if error is None], dtype=int)
+    x = x.reshape(theta.shape)
+    probs = np.empty((rows, n_cond, m + 1))
+    probs[alive] = _softmax_rows(x[alive])
+    value = np.empty(rows)
+    value[alive] = problem.take(alive).loglik(probs[alive])
+    k = n_cond * m
+    it = _Iterates(
+        theta, x, probs, value, np.full(rows, np.inf),
+        (np.empty((rows, k)), np.empty((rows, n_cond, m, m)), np.empty((rows, n_cond, m))),
+        np.zeros(rows, dtype=bool),
     )
+    free = problem.free
+    running = alive if free.any() else alive[:0]
+    for iteration in range(max_iter + 1):
+        fresh = running[~it.scored[running]]
+        if fresh.size:
+            it.set_score(fresh, problem.take(fresh).score(it.probs[fresh]))
+        g_free = it.score[0][running][:, free]
+        it.gnorm[running] = np.max(np.abs(g_free), axis=1)
+        if iteration == max_iter:
+            break
+        stepping = ~(it.gnorm[running] < gtol)
+        running, g_free = running[stepping], g_free[stepping]
+        if running.size == 0:
+            break
+        newton, solved = _newton_steps(problem.take(running), it, running, g_free)
+        it.scored[running] = False
+        gradient = g_free / np.maximum(it.gnorm[running], 1.0)[:, None]
+        moved = _line_search(problem, it, running, np.where(solved[:, None], newton, gradient))
+        retry = ~moved & solved
+        if retry.any():
+            moved[retry] = _line_search(problem, it, running[retry], gradient[retry])
+        running = running[moved]
+    accept = max(gtol, MSTEP_GTOL_ACCEPT)
+    floored = _floored(it.probs[alive])
+    for r, probs_r in zip(alive, floored):
+        gnorm = float(it.gnorm[r])
+        if not free.any() or gnorm < accept:
+            out[r] = (it.theta[r], probs_r)
+        else:
+            out[r] = NumericalError(
+                f"constrained M-step stalled with gradient norm {gnorm:.3e}", residual=gnorm
+            )
+    return out
+
+
+def _newton_steps(part: _MStepProblem, it: _Iterates, rows: np.ndarray, g_free: np.ndarray):
+    """Newton steps in the free coordinates for the given rows, with the
+    observed information where its free block has a Cholesky factor and the
+    ridged expected information otherwise. Returns the steps and whether
+    each row's solve succeeded."""
+    free = np.flatnonzero(part.free)
+    n = free.size
+    score = it.score_of(rows)
+    _, info = part.gradient_and_info(it.x[rows], it.probs[rows], _curvature=True, _score=score)
+    info_free = info[np.ix_(np.arange(rows.size), free, free)]
+    del info
+    fisher = np.flatnonzero(~_definite_rows(info_free))
+    if fisher.size:
+        _, info = part.take(fisher).gradient_and_info(
+            it.x[rows[fisher]], it.probs[rows[fisher]], _score=tuple(s[fisher] for s in score)
+        )
+        info_free[fisher] = info[np.ix_(np.arange(fisher.size), free, free)]
+        del info
+        for i in fisher:
+            info_i = info_free[i]
+            info_i.flat[:: n + 1] += 1e-10 * (1.0 + np.trace(info_i) / n)
+    try:
+        return np.linalg.solve(info_free, g_free[..., None])[..., 0], np.ones(rows.size, bool)
+    except np.linalg.LinAlgError:
+        pass
+    # numpy raises for the whole stack: locate the singular rows one by one
+    steps, solved = np.zeros_like(g_free), np.zeros(rows.size, dtype=bool)
+    for i in range(rows.size):
+        try:
+            steps[i] = np.linalg.solve(info_free[i], g_free[i])
+            solved[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return steps, solved
+
+
+def _definite_rows(stack: np.ndarray) -> np.ndarray:
+    """Whether each matrix of a stack has a Cholesky factor."""
+    try:
+        np.linalg.cholesky(stack)
+        return np.ones(len(stack), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    definite = np.zeros(len(stack), dtype=bool)
+    for i, matrix in enumerate(stack):
+        try:
+            np.linalg.cholesky(matrix)
+            definite[i] = True
+        except np.linalg.LinAlgError:
+            pass
+    return definite
+
+
+def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps: np.ndarray):
+    """Halve each row's step until its objective rises, at most
+    MSTEP_MAX_HALVINGS times; the rows still searching share one scale.
+
+    A row whose trial point fails to invert halves too. An accepted point
+    replaces the row's iterate in it, with its score when the flat-objective
+    test computed one. Returns whether each row moved.
+    """
+    n_cond, m = it.theta.shape[1:]
+    free = problem.free
+    value, gnorm = it.value[rows], it.gnorm[rows]
+    flat_guard = 1e-12 * (1.0 + np.abs(value))
+    moved = np.zeros(rows.size, dtype=bool)
+    pending = np.arange(rows.size)
+    scale = 1.0
+    for _ in range(MSTEP_MAX_HALVINGS):
+        at = rows[pending]
+        trial = it.theta[at]
+        trial.reshape(at.size, -1)[:, free] += scale * steps[pending]
+        inverted = np.ones(at.size, dtype=bool)
+        try:
+            x_trial = problem.solve_states(trial.reshape(-1, m), it.x[at].reshape(-1, m))
+        except InversionFailures as exc:
+            x_trial = exc.x
+            inverted[list(exc.errors)] = False
+        x_trial = x_trial.reshape(at.size, n_cond, m)[inverted]
+        trial, tried = trial[inverted], pending[inverted]
+        probs_trial = _softmax_rows(x_trial)
+        value_trial = problem.take(rows[tried]).loglik(probs_trial)
+        rises = value_trial > value[tried]
+        if scale == 1.0:
+            # objective flat at float precision: take the full step if it
+            # still shrinks the score, which is where Newton endgames live
+            flat = np.flatnonzero(~rises & (value_trial >= value[tried] - flat_guard[tried]))
+            if flat.size:
+                score = problem.take(rows[tried[flat]]).score(probs_trial[flat])
+                shrinks = np.max(np.abs(score[0][:, free]), axis=1) < 0.5 * gnorm[tried[flat]]
+                it.set_score(rows[tried[flat[shrinks]]], tuple(s[shrinks] for s in score))
+                rises[flat[shrinks]] = True
+        moves = tried[rises]
+        it.move(rows[moves], trial[rises], x_trial[rises], probs_trial[rises], value_trial[rises])
+        moved[moves] = True
+        pending = pending[~moved[pending]]
+        if pending.size == 0:
+            break
+        scale *= 0.5
+    return moved
 
 
 # -- EM driver -------------------------------------------------------------------
-
-# Bytes of the forward-backward buffers (b, alpha and beta: 3 T n floats a
-# row) that one stacked E-step may hold. A stack of rows is cut into chunks
-# of this size, but never below the largest restart count among its
-# problems, since one such fit already holds that many rows at once.
-ESTEP_STACK_BYTES = 32 * 2**20
 
 
 @dataclass
@@ -504,13 +688,14 @@ def _stack_rows(problems: list[_Problem], length: int) -> dict:
 def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Restart]]:
     """EM for every (problem, restart) row in lock-step; one _Restart list per problem.
 
-    An iteration makes the per-row M-steps, then one batched E-step
-    (expected_counts) over the candidates of all rows that share a latent
-    scheme, in chunks of _stack_rows; each damping halving makes one more
-    over the rows whose log-likelihood still falls. A row leaves the batch
+    An iteration makes one batched_m_step per group of rows that share a
+    space and mask, then one batched E-step (expected_counts) over the
+    candidates of all rows that share a latent scheme, in chunks of
+    _stack_rows; each damping halving makes one more over the rows whose
+    log-likelihood still falls. A row leaves the batch
     at its problem's max_iter or tol, or when it stalls or raises
-    NumericalError. Rows of a batched E-step equal single-model ones
-    bitwise, so every row follows the path it would follow alone.
+    NumericalError. Rows of a batched E-step or M-step equal single-row
+    ones bitwise, so every row follows the path it would follow alone.
     """
     grouped = [[_Restart(p, r) for r in range(p.options.restarts)] for p in problems]
     runs = [run for group in grouped for run in group]
@@ -551,6 +736,32 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
             if state is not None and runs[i].error is None
         }
 
+    def m_steps(states: dict) -> dict:
+        """Batched M-steps, one batched_m_step call per group of rows that
+        share a space and mask, transition tables first; returns the
+        candidates of the rows that did not fail, in the order of states."""
+        fitted = {i: [] for i in states}
+        for part in (0, 1):
+            groups = {}
+            for i in fitted:
+                p = runs[i].problem
+                space, mask = (p.dspace, p.dmask) if part == 0 else (p.tspace, p.tmask)
+                key = (space.kind, space.response, space.condition, mask.shape, mask.tobytes())
+                groups.setdefault(key, (space, mask, []))[2].append(i)
+            for space, mask, rows in groups.values():
+                counts = np.stack([states[i].counts[part] for i in rows])
+                warm = np.stack([(states[i].delta, states[i].theta)[part] for i in rows])
+                for i, result in zip(rows, batched_m_step(space, counts, mask, warm)):
+                    if isinstance(result, NumericalError):
+                        runs[i].error = str(result)
+                        del fitted[i]
+                    else:
+                        fitted[i].append(result)
+        return {
+            i: candidate(runs[i], delta, theta, (dprobs, tprobs))
+            for i, ((delta, dprobs), (theta, tprobs)) in fitted.items()
+        }
+
     def falls(i, state) -> bool:
         previous = runs[i].state.log_lik
         return state.log_lik < previous - 1e-12 * (1.0 + abs(previous))
@@ -570,22 +781,9 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
     iteration = 0
     while active:
         iteration += 1
-        proposals = {}
-        for i, state in active.items():
-            run, p = runs[i], runs[i].problem
-            run.iterations = iteration
-            try:
-                delta, dprobs = constrained_m_step(
-                    p.dspace, state.counts[0], p.dmask, warm=state.delta
-                )
-                theta, tprobs = constrained_m_step(
-                    p.tspace, state.counts[1], p.tmask, warm=state.theta
-                )
-            except NumericalError as exc:
-                run.error = str(exc)
-                continue
-            proposals[i] = candidate(run, delta, theta, (dprobs, tprobs))
-        proposals = e_step(proposals)
+        for i in active:
+            runs[i].iterations = iteration
+        proposals = e_step(m_steps(active))
         falling = [i for i, state in proposals.items() if falls(i, state)]
         for _ in range(30):
             if not falling:

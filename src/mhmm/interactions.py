@@ -283,28 +283,33 @@ class InteractionTable:
 
 
 def _validate_table(space: InteractionSpace, probs: np.ndarray) -> np.ndarray:
+    """A conditional table, or a stack of them along leading axes, checked
+    for strictly positive cells and unit row sums."""
     probs = np.asarray(probs, dtype=float)
     expected = (space.condition.n_states, space.response.n_states)
-    if probs.shape != expected:
+    if probs.shape[-2:] != expected:
         raise DomainError(f"conditional table shape {probs.shape}, expected {expected}")
-    if np.any(probs <= 0.0):
-        row, col = np.argwhere(probs <= 0.0)[0]
+    rows = probs.reshape(-1, expected[1])
+    if np.any(rows <= 0.0):
+        row, col = np.argwhere(rows <= 0.0)[0]
         raise DomainError(
             f"table must be strictly positive; cell {space.response.states[col]} given "
-            f"{space.condition.states[row]} is {probs[row, col]}"
+            f"{space.condition.states[row % expected[0]]} is {rows[row, col]}"
         )
-    sums = probs.sum(axis=1)
+    sums = rows.sum(axis=1)
     if np.max(np.abs(sums - 1.0)) > 1e-12:
         row = int(np.argmax(np.abs(sums - 1.0)))
         raise DomainError(
-            f"slice for conditioning state {space.condition.states[row]} sums to {sums[row]!r}"
+            f"slice for conditioning state {space.condition.states[row % expected[0]]} "
+            f"sums to {sums[row]!r}"
         )
     return probs
 
 
 def contrasts_from_table(space: InteractionSpace, probs: np.ndarray) -> np.ndarray:
     """Marginal contrasts of a conditional table, one row per conditioning
-    state. Requires a strictly positive table with unit row sums."""
+    state, or of a stack of tables along leading axes. Requires strictly
+    positive tables with unit row sums."""
     probs = _validate_table(space, probs)
     margins = probs @ space.marginalizer.T
     return np.log(margins) @ space.contrast.T
@@ -337,11 +342,12 @@ def collapse_factorial(table: InteractionTable) -> np.ndarray:
 
 
 def _softmax_rows(x_free: np.ndarray) -> np.ndarray:
-    """Distributions from free log-probabilities, one row each, cell 0 pinned."""
-    x = np.concatenate([np.zeros((x_free.shape[0], 1)), x_free], axis=1)
-    x = x - x.max(axis=1, keepdims=True)
+    """Distributions from free log-probabilities, one per row along the last
+    axis, cell 0 pinned."""
+    x = np.concatenate([np.zeros((*x_free.shape[:-1], 1)), x_free], axis=-1)
+    x = x - x.max(axis=-1, keepdims=True)
     p = np.exp(x)
-    return p / p.sum(axis=1, keepdims=True)
+    return p / p.sum(axis=-1, keepdims=True)
 
 
 def _contrasts_of_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
@@ -350,48 +356,94 @@ def _contrasts_of_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
 
 def _jacobian_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     """Per-row derivative of the contrast vector in free log-probability
-    coordinates (cell 0 pinned at zero); stacked (rows, m, m)."""
+    coordinates (cell 0 pinned at zero); rows along the last axis of p but
+    one, so (rows, n_cells) gives (rows, m, m)."""
     margins = p @ space.marginalizer.T
-    weighted = space.marginalizer[None, :, :] / margins[:, :, None]
-    dlog = space.contrast[None] @ weighted
-    eye = np.eye(p.shape[1])[None, :, 1:]
-    dp = p[:, :, None] * (eye - p[:, None, 1:])
+    weighted = space.marginalizer / margins[..., :, None]
+    dlog = space.contrast @ weighted
+    eye = np.eye(p.shape[-1])[:, 1:]
+    dp = p[..., :, None] * (eye - p[..., None, 1:])
     return dlog @ dp
 
 
+class InversionFailures(NumericalError):
+    """Blocks of a stacked contrast inversion that failed.
+
+    errors maps the index of each failing block to the NumericalError that
+    inverting that block alone raises, and x holds the solution of every
+    other block. The message is that of the first failing block.
+    """
+
+    def __init__(self, errors: dict[int, NumericalError], x: np.ndarray):
+        first = errors[min(errors)]
+        super().__init__(str(first), residual=first.residual)
+        self.errors = errors
+        self.x = x
+
+
 def _invert_rows(
-    space: InteractionSpace, target: np.ndarray, x0: np.ndarray | None = None
+    space: InteractionSpace,
+    target: np.ndarray,
+    x0: np.ndarray | None = None,
+    block: int | None = None,
 ) -> np.ndarray:
     """Solve for the distributions carrying the requested contrast rows.
 
     Damped Newton on all rows at once, parameterized by free
     log-probabilities with the all-baseline cell pinned at zero; rows start
     from the uniform distribution unless warm-started and drop out as they
-    converge.
+    converge. The rows form consecutive blocks of `block` rows (by default
+    one block of all rows), and each block succeeds or fails as a call on
+    its rows alone would: the ridge fallback for a singular Jacobian and
+    the stall and iteration-limit tests look at the block's own rows, and a
+    failing block drops out without changing the other rows. Raises
+    InversionFailures if any block fails.
     """
     target = np.asarray(target, dtype=float)
     rows, m = target.shape
+    block = block or rows
     x = np.zeros((rows, m)) if x0 is None else np.array(x0, dtype=float)
+
+    def contrasts(p, at):
+        return _by_block(lambda q: _contrasts_of_rows(space, q), p, at, block)
+
     p = _softmax_rows(x)
-    residual = _contrasts_of_rows(space, p) - target
+    residual = contrasts(p, np.arange(rows)) - target
     err = np.abs(residual).max(axis=1)
+    live = np.ones(rows, dtype=bool)
+    errors = {}
     for _ in range(NEWTON_MAX_ITER):
-        active = np.flatnonzero(err > NEWTON_TOL)
+        # a NaN residual never compares as converged
+        active = np.flatnonzero(live & ~(err <= NEWTON_TOL))
         if active.size == 0:
-            return x
-        jac = _jacobian_rows(space, p[active])
+            break
+        jac = _by_block(lambda q: _jacobian_rows(space, q), p[active], active, block)
+        rhs = -residual[active][:, :, None]
         try:
-            step = np.linalg.solve(jac, -residual[active][:, :, None])[:, :, 0]
+            step = np.linalg.solve(jac, rhs)[:, :, 0]
         except np.linalg.LinAlgError:
+            step = np.empty((active.size, m))
             ridge = 1e-12 * np.eye(m)[None]
-            step = np.linalg.solve(jac + ridge, -residual[active][:, :, None])[:, :, 0]
+            for b, part in _block_parts(active, block):
+                try:
+                    step[part] = np.linalg.solve(jac[part], rhs[part])[:, :, 0]
+                    continue
+                except np.linalg.LinAlgError:
+                    pass
+                try:
+                    step[part] = np.linalg.solve(jac[part] + ridge, rhs[part])[:, :, 0]
+                except np.linalg.LinAlgError:
+                    errors[b] = NumericalError("contrast inversion met a singular Jacobian")
+                    live[b * block : (b + 1) * block] = False
+            kept = live[active]
+            active, step = active[kept], step[kept]
         scale = np.ones(active.size)
         pending = np.arange(active.size)
         for _ in range(NEWTON_MAX_HALVINGS):
             g = active[pending]
             trial = np.clip(x[g] + scale[pending, None] * step[pending], -LOG_BOUND, LOG_BOUND)
             p_try = _softmax_rows(trial)
-            res_try = _contrasts_of_rows(space, p_try) - target[g]
+            res_try = contrasts(p_try, g) - target[g]
             err_try = np.abs(res_try).max(axis=1)
             ok = np.isfinite(err_try) & (err_try < err[g])
             hit = g[ok]
@@ -403,19 +455,58 @@ def _invert_rows(
             if pending.size == 0:
                 break
             scale[pending] *= 0.5
-        if pending.size:
-            worst = float(err[active[pending]].max())
-            raise NumericalError(
+        stalled = active[pending]
+        for b, part in _block_parts(stalled, block):
+            worst = float(err[stalled[part]].max())
+            errors[b] = NumericalError(
                 f"contrast inversion stalled at residual {worst:.3e}", residual=worst
             )
-    worst = float(err.max())
-    if worst < NEWTON_TOL:
-        return x
-    raise NumericalError(
-        f"contrast inversion did not converge within {NEWTON_MAX_ITER} iterations; "
-        f"residual {worst:.3e}",
-        residual=worst,
-    )
+            live[b * block : (b + 1) * block] = False
+    for b, _ in _block_parts(np.flatnonzero(live & ~(err <= NEWTON_TOL)), block):
+        worst = float(err[b * block : (b + 1) * block].max())
+        errors[b] = NumericalError(
+            f"contrast inversion did not converge within {NEWTON_MAX_ITER} iterations; "
+            f"residual {worst:.3e}",
+            residual=worst,
+        )
+    if errors:
+        raise InversionFailures(dict(sorted(errors.items())), x)
+    return x
+
+
+def _by_block(fn, values: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
+    """fn(values), where values holds the sorted row numbers rows of a stack,
+    computed as a call on each block's rows alone computes it.
+
+    A matrix product rounds differently with the number of rows it spans
+    (one row takes a matrix-vector kernel, and large products switch
+    kernels with size), so fn runs on blocks stacked along a new leading
+    axis, one call per distinct number of rows a block has.
+    """
+    blocks = rows // block
+    if rows.size == 0 or blocks[0] == blocks[-1]:
+        return fn(values)
+    sizes = np.bincount(blocks)[blocks]
+    out = None
+    for size in np.flatnonzero(np.bincount(sizes)):
+        at = np.flatnonzero(sizes == size)
+        part = fn(values[at].reshape(-1, size, *values.shape[1:]))
+        part = part.reshape(at.size, *part.shape[2:])
+        if at.size == rows.size:
+            return part
+        if out is None:
+            out = np.empty((rows.size, *part.shape[1:]))
+        out[at] = part
+    return out
+
+
+def _block_parts(rows: np.ndarray, block: int) -> list[tuple[int, np.ndarray]]:
+    """(block number, positions in rows) for every block of `block` rows
+    that the sorted row numbers rows touch."""
+    if rows.size == 0:
+        return []
+    cuts = np.flatnonzero(np.diff(rows // block)) + 1
+    return [(int(rows[part[0]]) // block, part) for part in np.split(np.arange(rows.size), cuts)]
 
 
 def contrast_of_distribution(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
@@ -429,10 +520,16 @@ def table_from_interactions(table: InteractionTable, warm: np.ndarray | None = N
 
     warm optionally provides free log-probabilities per conditioning state
     from a previous solve. Raises a domain error if the solution carries a
-    probability below the positivity floor, and a numerical error on
-    non-convergence.
+    probability below the positivity floor or a coefficient is not finite,
+    and a numerical error on non-convergence.
     """
     space = table.space
+    if not np.all(np.isfinite(table.values)):
+        row, col = np.argwhere(~np.isfinite(table.values))[0]
+        raise DomainError(
+            f"interaction coefficient {table.values[row, col]} at row {row}, column {col} "
+            "is not finite"
+        )
     eta = collapse_factorial(table)
     probs = _softmax_rows(_invert_rows(space, eta, x0=warm))
     if probs.min() < PROB_FLOOR:
@@ -495,6 +592,8 @@ def parse_interaction_lines(text: str):
             number = float(value)
         except ValueError:
             raise DomainError(f"line {lineno}: bad value {value!r}")
+        if not math.isfinite(number):
+            raise DomainError(f"line {lineno}: value {value!r} is not finite")
         yield InteractionIndex(
             kind=kind.lower(),
             response_vars=group(pvars),

@@ -149,6 +149,7 @@ class ComparisonRow:
     par: int
     log_lik: float
     aic: float
+    converged: bool
 
 
 @dataclass
@@ -156,7 +157,7 @@ class ModelComparison:
     reference_label: str
     rows: list[ComparisonRow]
 
-    _COLUMNS = ("model", "LRT", "df", "p-value", "par", "loglike", "AIC")
+    _COLUMNS = ("model", "LRT", "df", "p-value", "par", "loglike", "AIC", "converged")
 
     def _cells(self):
         for row in self.rows:
@@ -168,6 +169,7 @@ class ModelComparison:
                 str(row.par),
                 f"{row.log_lik:.4f}",
                 f"{row.aic:.4f}",
+                "yes" if row.converged else "no",
             )
 
     def render_text(self) -> str:
@@ -185,7 +187,7 @@ class ModelComparison:
         return "\n".join(lines) + "\n"
 
     def render_csv(self) -> str:
-        lines = ["model,lrt,df,p_value,par,loglike,aic"]
+        lines = ["model,lrt,df,p_value,par,loglike,aic,converged"]
         for row in self.rows:
             lines.append(
                 ",".join(
@@ -197,6 +199,7 @@ class ModelComparison:
                         str(row.par),
                         f"{row.log_lik:.17g}",
                         f"{row.aic:.17g}",
+                        "yes" if row.converged else "no",
                     )
                 )
             )
@@ -208,7 +211,8 @@ def model_table(fits: list[FitResult], reference: FitResult) -> ModelComparison:
 
     Rows keep the given order; each is tested against the reference, so the
     df column is par(reference) - par(row), and lrt raises DomainError for a
-    fit to other data or one not nested in the reference.
+    fit to other data or one not nested in the reference. The last column
+    says whether the fit stopped on its tolerance (FitResult.converged).
     """
     rows = []
     for fit in fits:
@@ -222,6 +226,7 @@ def model_table(fits: list[FitResult], reference: FitResult) -> ModelComparison:
                 par=fit.par,
                 log_lik=fit.log_lik,
                 aic=aic(fit),
+                converged=fit.converged,
             )
         )
     return ModelComparison(reference_label=reference.label or "reference", rows=rows)

@@ -194,7 +194,7 @@ def test_compare_writes_table_with_reference_first(tmp_path, capsys):
     assert lines[3].startswith("nogranger")
     assert lines[-1] == "reference: saturated"
     csv = (cmp_dir / "comparison.csv").read_text().splitlines()
-    assert csv[0] == "model,lrt,df,p_value,par,loglike,aic"
+    assert csv[0] == "model,lrt,df,p_value,par,loglike,aic,converged"
     sat_row = csv[1].split(",")
     ng_row = csv[2].split(",")
     assert int(sat_row[2]) == 0
@@ -207,14 +207,14 @@ def test_compare_writes_table_with_reference_first(tmp_path, capsys):
 def test_compare_exits_3_with_the_first_failing_spec_in_order(tmp_path, monkeypatch, capsys):
     # every restart of both Granger-restricted specs fails in its first
     # delta M-step, with a message that tells the two specs apart
-    real = mhmm.fit.constrained_m_step
+    real = mhmm.fit.batched_m_step
 
     def failing(space, counts, mask, warm=None, **kwargs):
         if space.kind == "delta" and mask.any():
-            raise NumericalError(f"forced failure {np.abs(warm).sum():.6f}")
+            return [NumericalError(f"forced failure {np.abs(row).sum():.6f}") for row in warm]
         return real(space, counts, mask, warm=warm, **kwargs)
 
-    monkeypatch.setattr(mhmm.fit, "constrained_m_step", failing)
+    monkeypatch.setattr(mhmm.fit, "batched_m_step", failing)
     data = simulate_two_var_series(tmp_path)
     texts = {
         "saturated": TINY_FULLDEP,

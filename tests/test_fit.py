@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.optimize
@@ -15,6 +17,7 @@ from mhmm import (
     VariableScheme,
     additivity_constraints,
     constrained_m_step,
+    invariant_association_constraints,
     count_free_parameters,
     em_fit,
     fit_spec,
@@ -30,6 +33,7 @@ from mhmm.fit import (
     MSTEP_GTOL,
     MSTEP_MAX_HALVINGS,
     _MStepProblem,
+    batched_m_step,
     canonical_state_orders,
     relabel_states,
 )
@@ -112,6 +116,10 @@ def test_m_step_rejects_bad_counts():
         constrained_m_step(DSPACE, np.zeros((4, 4)), np.zeros((4, 3), dtype=bool))
     with pytest.raises(DomainError):
         constrained_m_step(DSPACE, np.ones((3, 4)), np.zeros((4, 3), dtype=bool))
+    nan_cell = np.ones((4, 4))
+    nan_cell[1, 2] = np.nan
+    with pytest.raises(DomainError):
+        constrained_m_step(DSPACE, nan_cell, np.zeros((4, 3), dtype=bool))
 
 
 # The block and dense forms sum the same float64 products in different
@@ -240,6 +248,124 @@ def test_m_step_converges_on_additivity_far_from_additive_rows():
     problem = _MStepProblem(space, counts, mask)
     g, _ = problem.gradient_and_info(None, probs)
     assert np.max(np.abs(g[problem.free])) < MSTEP_GTOL
+
+
+def test_m_step_line_search_survives_a_singular_inversion_jacobian():
+    # a trial point of this solve meets a contrast Jacobian that stays
+    # singular under the ridge: the inversion fails that block with a
+    # NumericalError and the line search halves, where LinAlgError escaped
+    latent = VariableScheme.of(("E1", 2), ("E2", 2), ("E3", 2))
+    space = InteractionSpace(latent, latent, "delta")
+    rows = ["0000000", "0000000", "1000100", "0100001", "0010001", "0010100", "0101000", "0110111"]
+    mask = np.array([[c == "1" for c in row] for row in rows])
+    rng = np.random.default_rng([3, 2])
+    counts = rng.integers(0, 50, size=(8, 8)).astype(float)
+    rng.random((8, 8))
+    counts[:, 0] += 1
+    warm = rng.uniform(-2, 2, mask.shape)
+    theta, probs = constrained_m_step(space, counts, mask, warm)
+    assert np.all(theta[mask] == 0.0)
+    assert np.allclose(probs.sum(axis=1), 1.0)
+
+
+# sha256 over (theta, probs) of cold M-steps on Dirichlet(2) emission counts,
+# recorded with the one-table M-step that batched M-steps replaced
+GOLDEN_M_STEPS = "801d414db278901edfb1ebb60f3797dfedad09b4cef6de50eb7504cf6c14169a"
+
+
+def test_m_step_solutions_match_golden_digest():
+    digest = hashlib.sha256()
+    cases = [
+        (2, 3, additivity_constraints),
+        (2, 3, invariant_association_constraints),
+        (3, 3, invariant_association_constraints),
+        (2, 4, additivity_constraints),
+    ]
+    for n_latent, n_observed, constraints_of in cases:
+        latent = VariableScheme.of(*[(f"E{i + 1}", 2) for i in range(n_latent)])
+        observed = VariableScheme.of(*[(f"F{i + 1}", 3) for i in range(n_observed)])
+        rows = np.random.default_rng(7).dirichlet(np.full(observed.n_states, 2.0), latent.n_states)
+        space = InteractionSpace(observed, latent, "theta")
+        mask = constraints_of(latent, observed, "emission").mask(space)
+        theta, probs = constrained_m_step(space, 2000.0 / latent.n_states * rows, mask)
+        digest.update(theta.tobytes())
+        digest.update(probs.tobytes())
+    assert digest.hexdigest() == GOLDEN_M_STEPS
+
+
+EMISSION_SPACE = InteractionSpace(OBS, LAT, "theta")
+ADDITIVE = additivity_constraints(LAT, OBS, "emission").mask(EMISSION_SPACE)
+
+
+def m_step_rows(cases):
+    """Count tables and warm starts, one per (seed, warm scale) case."""
+    counts = [np.random.default_rng(seed).integers(1, 60, size=(4, 6)) for seed, _ in cases]
+    warm = [
+        np.random.default_rng([seed, 1]).uniform(-scale, scale, ADDITIVE.shape)
+        for seed, scale in cases
+    ]
+    return np.array(counts, dtype=float), np.array(warm)
+
+
+def lone_m_steps(counts, warm, gtol, monkeypatch):
+    """Each row's lone constrained_m_step: its result or error, and how many
+    observed and ridged expected informations it formed."""
+    kinds = []
+    real = _MStepProblem.gradient_and_info
+
+    def counting(self, x, probs, _curvature=False, _score=None):
+        kinds.append(_curvature)
+        return real(self, x, probs, _curvature, _score)
+
+    monkeypatch.setattr(_MStepProblem, "gradient_and_info", counting)
+    out = []
+    for row_counts, row_warm in zip(counts, warm):
+        kinds.clear()
+        try:
+            result = constrained_m_step(EMISSION_SPACE, row_counts, ADDITIVE, row_warm, gtol)
+        except NumericalError as exc:
+            result = exc
+        out.append((result, kinds.count(True), kinds.count(False)))
+    monkeypatch.undo()
+    return out
+
+
+def assert_same_row(got, expected):
+    if isinstance(expected, NumericalError):
+        assert isinstance(got, NumericalError) and str(got) == str(expected)
+    else:
+        assert np.array_equal(got[0], expected[0]) and np.array_equal(got[1], expected[1])
+
+
+def test_batched_m_step_rows_equal_lone_calls(monkeypatch):
+    # few and many Newton steps, ridged expected information, a warm start
+    # whose cold inversion fails
+    cases = [(0, 0.0), (0, 6.0), (0, 300.0), (3, 1.0), (4, 6.0)]
+    counts, warm = m_step_rows(cases)
+    lone = lone_m_steps(counts, warm, MSTEP_GTOL, monkeypatch)
+    for got, (expected, _, _) in zip(batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm), lone):
+        assert_same_row(got, expected)
+    failed = lone[2][0]
+    assert isinstance(failed, NumericalError) and "contrast inversion" in str(failed)
+    fitted = [row for row in lone if not isinstance(row[0], NumericalError)]
+    assert len({newton for _, newton, _ in fitted}) > 1
+    assert any(fisher for _, _, fisher in fitted) and not all(fisher for _, _, fisher in fitted)
+    # closed-form rows go through the same call
+    free = np.zeros_like(ADDITIVE)
+    for got, row_counts in zip(batched_m_step(EMISSION_SPACE, counts, free), counts):
+        assert_same_row(got, constrained_m_step(EMISSION_SPACE, row_counts, free))
+
+
+def test_batched_m_step_rows_equal_lone_calls_at_the_float_floor(monkeypatch):
+    # gtol=0 runs every row until its line searches fail, each at its own
+    # step; at the float floor the flat-objective test decides row by row
+    cases = [(3, 1.0), (5, 1.0), (6, 0.0), (0, 0.0), (8, 0.0), (7, 0.0), (1, 1.0), (3, 0.0)]
+    counts, warm = m_step_rows(cases)
+    lone = lone_m_steps(counts, warm, 0.0, monkeypatch)
+    batched = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm, 0.0)
+    for got, (expected, _, _) in zip(batched, lone):
+        assert_same_row(got, expected)
+    assert len({newton for _, newton, _ in lone}) > 2
 
 
 def test_fit_options_validation():
@@ -508,6 +634,25 @@ def test_stack_rows_follow_the_budget():
     assert mhmm.fit._stack_rows(problems, 1000) == {LAT: mhmm.fit.ESTEP_STACK_BYTES // row_bytes}
     # a long series still stacks the largest problem's restarts
     assert mhmm.fit._stack_rows(problems, 10**9) == {LAT: 4}
+
+
+def test_m_step_groups_rows_by_space_content(batch_series):
+    # one latent variable with four states conditions the emissions like
+    # E1 x E2 does; zeroing the F1,F2 coefficients under every nonempty
+    # conditioning margin gives equal emission masks over different spaces
+    four = "latent E1 4\nobserved F1 3\nobserved F2 2\nemit E1 -> F1\nemit E1 -> F2\n"
+    zero = "hypothesis user_zero THETA F1,F2 {}\n"
+    options = "option restarts 2\noption max_iter 15\n"
+    pair = LADDER["saturated"] + "".join(zero.format(q) for q in ("E1", "E2", "E1,E2"))
+    specs = [
+        parse_model_spec(pair + options, label="pair"),
+        parse_model_spec(four + "bidir F1 <-> F2\n" + zero.format("E1") + options, label="four"),
+    ]
+    fits = fit_specs(specs, batch_series)
+    masks = [fit.constraints.mask(fit.theta.space) for fit in fits]
+    assert masks[0].any() and np.array_equal(masks[0], masks[1])
+    for got, spec in zip(fits, specs, strict=True):
+        assert_same_fit(got, fit_spec(spec, batch_series))
 
 
 def test_dim_counts_free_mask_entries(batch_series):

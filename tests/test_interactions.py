@@ -5,6 +5,7 @@ import pytest
 from pytest import approx
 
 from mhmm import (
+    NumericalError,
     DomainError,
     InteractionIndex,
     InteractionSpace,
@@ -16,6 +17,8 @@ from mhmm import (
     table_from_interactions,
 )
 from mhmm.interactions import (
+    InversionFailures,
+    _invert_rows,
     collapse_factorial,
     contrast_of_distribution,
     contrasts_from_table,
@@ -223,3 +226,54 @@ def test_parse_interaction_lines_rejects_garbage():
         list(parse_interaction_lines("THETA F1 - 2\n"))
     with pytest.raises(DomainError):
         list(parse_interaction_lines("SIGMA F1 - 2 - 0.5\n"))
+
+
+def test_non_finite_coefficients_are_rejected():
+    for bad in (np.nan, np.inf):
+        values = np.zeros((4, 3))
+        values[1, 2] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            table_from_interactions(InteractionTable(LAT2, values))
+
+
+def test_inversion_never_counts_a_nan_residual_as_converged():
+    target = np.zeros((4, 3))
+    target[1, 2] = np.nan
+    with pytest.raises(NumericalError):
+        _invert_rows(LAT2, target)
+
+
+def test_parse_interaction_lines_rejects_non_finite_values():
+    for value in ("nan", "inf", "-inf", "NaN"):
+        with pytest.raises(DomainError, match="not finite"):
+            list(parse_interaction_lines(f"THETA F1 - 2 - {value}\n"))
+
+
+def test_stacked_inversion_fails_per_block(rng):
+    # blocks of four rows; the middle block asks for an unreachable contrast
+    targets = [
+        contrasts_from_table(LAT2, random_rows(rng, 4, 4)),
+        np.full((4, 3), 400.0),
+        contrasts_from_table(LAT2, random_rows(rng, 4, 4)),
+    ]
+    with pytest.raises(NumericalError) as alone:
+        _invert_rows(LAT2, targets[1])
+    with pytest.raises(InversionFailures) as stacked:
+        _invert_rows(LAT2, np.concatenate(targets), block=4)
+    assert list(stacked.value.errors) == [1]
+    assert str(stacked.value) == str(stacked.value.errors[1]) == str(alone.value)
+    for b in (0, 2):
+        assert np.array_equal(stacked.value.x[4 * b : 4 * b + 4], _invert_rows(LAT2, targets[b]))
+
+
+def test_stacked_inversion_equals_lone_blocks():
+    # blocks whose rows converge at different iterations, so the number of
+    # rows a lone call still iterates on differs from block to block
+    space = theta_space([("F1", 3), ("F2", 3), ("F3", 3)], [("E1", 2), ("E2", 2)])
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        targets = [contrasts_from_table(space, random_rows(rng, 4, 27)) for _ in range(8)]
+        starts = [rng.normal(scale=0.5 * (b % 3), size=(4, 26)) for b in range(8)]
+        stacked = _invert_rows(space, np.concatenate(targets), np.concatenate(starts), block=4)
+        for b, (target, start) in enumerate(zip(targets, starts)):
+            assert np.array_equal(stacked[4 * b : 4 * b + 4], _invert_rows(space, target, start))

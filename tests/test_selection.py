@@ -70,7 +70,7 @@ def test_chi_square_quantile_known_values():
         chi_square_quantile(3, 1.0)
 
 
-def fake_fit(label, log_lik, par, constraints, fingerprint="abc"):
+def fake_fit(label, log_lik, par, constraints, fingerprint="abc", stop_reason="tol"):
     return FitResult(
         model=None,
         delta=None,
@@ -78,7 +78,7 @@ def fake_fit(label, log_lik, par, constraints, fingerprint="abc"):
         constraints=constraints,
         log_lik=log_lik,
         iterations=5,
-        stop_reason="tol",
+        stop_reason=stop_reason,
         em_trace=[log_lik],
         par=par,
         data_fingerprint=fingerprint,
@@ -149,7 +149,9 @@ def test_model_table_renders_aligned_text_and_csv():
     cmp = model_table([full, small], full)
     text = cmp.render_text()
     lines = text.splitlines()
-    assert lines[0].split() == ["model", "LRT", "df", "p-value", "par", "loglike", "AIC"]
+    assert lines[0].split() == [
+        "model", "LRT", "df", "p-value", "par", "loglike", "AIC", "converged"
+    ]
     assert set(lines[1]) <= {"-", " "}
     assert lines[2].startswith("saturated")
     assert lines[-1] == "reference: saturated"
@@ -157,9 +159,20 @@ def test_model_table_renders_aligned_text_and_csv():
 
     csv = cmp.render_csv()
     rows = csv.splitlines()
-    assert rows[0] == "model,lrt,df,p_value,par,loglike,aic"
+    assert rows[0] == "model,lrt,df,p_value,par,loglike,aic,converged"
     assert rows[2].split(",")[1] == f"{2.0 * (-100.0 + 104.2):.17g}"
     assert rows[1].split(",")[2] == "0"
+
+
+def test_model_table_says_which_fits_stopped_short():
+    full = fake_fit("saturated", -100.0, 10, ConstraintSet(LAT, OBS))
+    capped = fake_fit("capped", -104.2, 6, index_chain(2), stop_reason="max_iter")
+    cmp = model_table([full, capped], full)
+    assert [row.split(",")[-1] for row in cmp.render_csv().splitlines()] == [
+        "converged", "yes", "no"
+    ]
+    text = cmp.render_text().splitlines()
+    assert [line.split()[-1] for line in text[2:4]] == ["yes", "no"]
 
 
 def test_model_table_validates_membership():
