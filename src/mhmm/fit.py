@@ -36,7 +36,10 @@ Each EM iteration makes one batched M-step per group of running rows that
 share a space (by content) and a zero mask, transition tables first, then
 one batched E-step (model.expected_counts) over every running row that
 shares a latent scheme, and each damping halving one more E-step over the
-rows still decreasing. An E-step stack is cut into chunks of at most
+rows still decreasing. Only iterates that EM goes on from get expected
+counts: the stop rule (verdict) is applied right after each row's forward
+pass, so a row that stops, or a proposal to be damped, costs a forward pass
+and no backward pass. An E-step stack is cut into chunks of at most
 ESTEP_STACK_BYTES of recursion buffers, but never below the largest restart
 count among its problems; an M-step stack into chunks whose k x k matrices
 fit in the same budget, never below one row. A row leaves the batch at its
@@ -75,11 +78,14 @@ MSTEP_GTOL_ACCEPT = 1e-5
 MSTEP_MAX_ITER = 200
 MSTEP_MAX_HALVINGS = 25
 
-# Bytes of the forward-backward buffers (b, alpha and beta: 3 T n floats a
-# row) that one stacked E-step may hold. A stack of rows is cut into chunks
-# of this size, but never below the largest restart count among its
-# problems, since one such fit already holds that many rows at once. A
-# stacked M-step keeps its k x k matrices within the same budget.
+# Bytes of the forward-backward buffers that one stacked E-step may hold:
+# b, alpha and beta, at most 3 T n floats a row (rows whose counts are not
+# wanted get no beta). Beyond them an E-step holds, for one row at a time,
+# its gamma (T n floats) and one block of pair posteriors of at most
+# model.PAIR_BLOCK_BYTES. A stack of rows is cut into chunks of this size,
+# but never below the largest restart count among its problems, since one
+# such fit already holds that many rows at once. A stacked M-step keeps its
+# k x k matrices within the same budget.
 ESTEP_STACK_BYTES = 32 * 2**20
 
 
@@ -676,7 +682,9 @@ def _fit_result(runs: list[_Restart], series: ObservedSeries) -> FitResult:
 
 def _stack_rows(problems: list[_Problem], length: int) -> dict:
     """Rows per stacked E-step for each latent scheme: as many as
-    ESTEP_STACK_BYTES holds, and at least the scheme's largest restart count."""
+    ESTEP_STACK_BYTES holds at 3 T n floats a row (b, alpha, beta), and at
+    least the scheme's largest restart count. The E-step's per-row gamma and
+    pair block come on top, once per stack (see ESTEP_STACK_BYTES)."""
     rows = {}
     for problem in problems:
         scheme = problem.latent_scheme
@@ -692,7 +700,9 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
     space and mask, then one batched E-step (expected_counts) over the
     candidates of all rows that share a latent scheme, in chunks of
     _stack_rows; each damping halving makes one more over the rows whose
-    log-likelihood still falls. A row leaves the batch
+    log-likelihood still falls. One rule, verdict, decides after each
+    forward pass whether a row goes on (and so needs expected counts), is
+    damped or stops. A row leaves the batch
     at its problem's max_iter or tol, or when it stalls or raises
     NumericalError. Rows of a batched E-step or M-step equal single-row
     ones bitwise, so every row follows the path it would follow alone.
@@ -717,7 +727,8 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
 
     def e_step(states: dict) -> dict:
         """Batched E-steps, a chunked stack per latent scheme; drops the
-        iterates whose row failed and keeps the order of the others."""
+        iterates whose row failed and keeps the order of the others. Only
+        the iterates that will be M-stepped get expected counts."""
         stacks = {}
         for i, state in states.items():
             if state is not None:
@@ -725,12 +736,17 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
         for scheme, rows in stacks.items():
             size = stack_rows[scheme]
             for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
-                results = expected_counts([states[i].model for i in chunk], series)
+                results = expected_counts(
+                    [states[i].model for i in chunk], series,
+                    lambda r, log_lik, chunk=chunk: verdict(chunk[r], log_lik) is None,
+                )
                 for i, result in zip(chunk, results):
                     if isinstance(result, NumericalError):
                         runs[i].error = str(result)
                     else:
-                        states[i].counts, states[i].log_lik = result[:2], result[2]
+                        counts_trans, counts_emit, states[i].log_lik = result
+                        if counts_trans is not None:
+                            states[i].counts = counts_trans, counts_emit
         return {
             i: state for i, state in states.items()
             if state is not None and runs[i].error is None
@@ -762,9 +778,19 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
             for i, ((delta, dprobs), (theta, tprobs)) in fitted.items()
         }
 
-    def falls(i, state) -> bool:
-        previous = runs[i].state.log_lik
-        return state.log_lik < previous - 1e-12 * (1.0 + abs(previous))
+    def verdict(i, log_lik):
+        """What row i does with a new iterate of this log-likelihood: None
+        when EM goes on from it, "falls" when it is to be damped, else the
+        stop reason ("tol", "max_iter"). A starting iterate always goes on."""
+        run = runs[i]
+        if run.state is None:
+            return None
+        previous = run.state.log_lik
+        if log_lik < previous - 1e-12 * (1.0 + abs(previous)):
+            return "falls"
+        if log_lik - previous <= run.problem.options.tol * (1.0 + abs(log_lik)):
+            return "tol"
+        return None if iteration < run.problem.options.max_iter else "max_iter"
 
     def halved(i, state):
         accepted = runs[i].state
@@ -772,41 +798,42 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
             runs[i], 0.5 * (state.delta + accepted.delta), 0.5 * (state.theta + accepted.theta)
         )
 
+    iteration = 0
     active = e_step(
         {i: candidate(run, *run.problem.start(run.restart)) for i, run in enumerate(runs)}
     )
     for i, state in active.items():
         runs[i].state = state
         runs[i].trace.append(state.log_lik)
-    iteration = 0
     while active:
         iteration += 1
         for i in active:
             runs[i].iterations = iteration
         proposals = e_step(m_steps(active))
-        falling = [i for i, state in proposals.items() if falls(i, state)]
+        outcome = {i: verdict(i, state.log_lik) for i, state in proposals.items()}
+        falling = [i for i in proposals if outcome[i] == "falls"]
         for _ in range(30):
             if not falling:
                 break
             retried = e_step({i: halved(i, proposals[i]) for i in falling})
             proposals.update(retried)
-            falling = [i for i, state in retried.items() if falls(i, state)]
+            outcome.update((i, verdict(i, state.log_lik)) for i, state in retried.items())
+            falling = [i for i in retried if outcome[i] == "falls"]
         active = {}
         for i, state in proposals.items():
-            run, options = runs[i], runs[i].problem.options
+            run = runs[i]
             if run.error is not None:
                 continue
-            if falls(i, state):
+            if outcome[i] == "falls":
                 # no damped step keeps the likelihood from falling: a stall
                 run.stop_reason = "stalled"
                 continue
-            gain = state.log_lik - run.state.log_lik
             run.state = state
             run.trace.append(state.log_lik)
-            if gain <= options.tol * (1.0 + abs(state.log_lik)):
-                run.stop_reason = "tol"
-            elif iteration < options.max_iter:
+            if outcome[i] is None:
                 active[i] = state
+            else:
+                run.stop_reason = outcome[i]
     return grouped
 
 

@@ -22,6 +22,9 @@ from .errors import DomainError, NumericalError, ParseError
 from .schemes import VariableScheme, validate_categories
 
 STOCHASTIC_TOL = 1e-10
+# Bytes of pair posteriors, (n, n) per time step, that the E-step forms at
+# once while it sums its transition counts.
+PAIR_BLOCK_BYTES = 2**20
 
 
 @dataclass(frozen=True)
@@ -225,17 +228,50 @@ def _row_log_likelihood(scales: np.ndarray) -> float:
     return float(np.log(scales).sum())
 
 
-def _posteriors(alpha, beta, scales, b, transition):
-    """gamma (T, n) and xi (T - 1, n, n) of one model from its recursions."""
+def _state_posteriors(alpha, beta) -> np.ndarray:
+    """gamma (T, n) of one model from its recursions."""
     gamma = alpha * beta
     gamma /= gamma.sum(axis=1, keepdims=True)
-    if len(b) > 1:
-        ahead = (b[1:] * beta[1:]) / scales[1:, None]
-        xi = alpha[:-1, :, None] * transition[None, :, :] * ahead[:, None, :]
-        xi /= xi.sum(axis=(1, 2), keepdims=True)
-    else:
-        xi = np.empty((0,) + transition.shape)
-    return gamma, xi
+    return gamma
+
+
+def _pair_posteriors(alpha, beta, scales, b, transition, lo: int, out: np.ndarray) -> None:
+    """Write xi[t], the posterior law of the pair (t, t + 1), of one model
+    into out[t - lo] for lo <= t < lo + len(out). Each xi[t] is formed on
+    its own, so any cut of the time axis into blocks gives the same bits."""
+    hi = lo + len(out)
+    ahead = (b[lo + 1 : hi + 1] * beta[lo + 1 : hi + 1]) / scales[lo + 1 : hi + 1, None]
+    np.multiply(alpha[lo:hi, :, None], transition, out)
+    out *= ahead[:, None, :]
+    out /= out.sum(axis=(1, 2), keepdims=True)
+
+
+def _pair_block(n: int) -> int:
+    """Pairs per block of the E-step's transition counts: PAIR_BLOCK_BYTES
+    of (n, n) tables, at least one."""
+    return max(1, PAIR_BLOCK_BYTES // (8 * n * n))
+
+
+def _transition_counts(alpha, beta, scales, b, transition) -> np.ndarray:
+    """Sum over t of xi[t], one block of pairs at a time.
+
+    numpy sums the first axis of a contiguous array one slice after the
+    other, so carrying the running sum as slice 0 of each block reproduces
+    the sum of the whole (T - 1, n, n) stack bitwise, while at most one
+    block of it is alive."""
+    pairs = len(b) - 1
+    if pairs == 0:
+        return np.ones_like(transition)
+    n = transition.shape[0]
+    step = _pair_block(n)
+    block = np.empty((min(step, pairs) + 1, n, n))
+    total = np.zeros((n, n))
+    for lo in range(0, pairs, step):
+        m = min(step, pairs - lo)
+        block[0] = total
+        _pair_posteriors(alpha, beta, scales, b, transition, lo, block[1 : m + 1])
+        np.add.reduce(block[: m + 1], 0, None, total)
+    return total
 
 
 def log_likelihood(model: MhmmModel, series: ObservedSeries) -> float:
@@ -254,35 +290,51 @@ def forward_backward(model: MhmmModel, series: ObservedSeries):
     b, alpha, scales = _forward([model], series)
     log_lik = _row_log_likelihood(scales[:, 0])
     beta = _backward([model], b, scales)
-    gamma, xi = _posteriors(alpha[:, 0], beta[:, 0], scales[:, 0], b[:, 0], model.transition)
-    return gamma, xi, log_lik
+    alpha, beta, scales, b = alpha[:, 0], beta[:, 0], scales[:, 0], b[:, 0]
+    n = model.transition.shape[0]
+    xi = np.empty((len(b) - 1, n, n))
+    _pair_posteriors(alpha, beta, scales, b, model.transition, 0, xi)
+    return _state_posteriors(alpha, beta), xi, log_lik
 
 
-def expected_counts(models, series: ObservedSeries) -> list:
+def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
     """E-step of a stack of models in one batched forward-backward pass.
 
     Returns, per model, either (transition counts, emission counts,
     log-likelihood) or the NumericalError its recursion raised; a failing
-    model leaves the other rows untouched. Each row equals the single-model
-    recursion bitwise. Posteriors are formed one model at a time, so at most
-    one (T - 1, n, n) pair array is alive.
+    model leaves the other rows untouched. needs_counts(row, log_lik), if
+    given, is asked right after the forward pass whether a row's counts are
+    wanted; the rows it declines get (None, None, log-likelihood) and no
+    backward pass. Each row equals the single-model recursion bitwise.
+
+    Working set: b, alpha and beta of the stack (3 T n floats a row), then,
+    one row at a time, gamma (T n floats) and one block of pair posteriors
+    of at most PAIR_BLOCK_BYTES; no (T - 1, n, n) pair array is built.
     """
     b, alpha, scales = _forward(models, series)
-    beta = _backward(models, b, scales)
-    f_idx = series.state_indices
-    out = []
-    for r, model in enumerate(models):
+    out, wanted = [], []
+    for r in range(len(models)):
         try:
             log_lik = _row_log_likelihood(scales[:, r])
         except NumericalError as exc:
             out.append(exc)
             continue
-        gamma, xi = _posteriors(alpha[:, r], beta[:, r], scales[:, r], b[:, r], model.transition)
-        counts_trans = xi.sum(axis=0) if len(xi) else np.ones_like(model.transition)
-        del xi
+        out.append((None, None, log_lik))
+        if needs_counts is None or needs_counts(r, log_lik):
+            wanted.append(r)
+    if not wanted:
+        return out
+    sub = wanted if len(wanted) < len(models) else slice(None)
+    beta = _backward([models[r] for r in wanted], b[:, sub], scales[:, sub])
+    f_idx = series.state_indices
+    for k, r in enumerate(wanted):
+        model = models[r]
+        counts_trans = _transition_counts(
+            alpha[:, r], beta[:, k], scales[:, r], b[:, r], model.transition
+        )
         counts_emit = np.zeros(model.emission.shape)
-        np.add.at(counts_emit.T, f_idx, gamma)
-        out.append((counts_trans, counts_emit, log_lik))
+        np.add.at(counts_emit.T, f_idx, _state_posteriors(alpha[:, r], beta[:, k]))
+        out[r] = (counts_trans, counts_emit, out[r][2])
     return out
 
 
@@ -295,23 +347,30 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
     T, n = b.shape
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)
-        log_b = np.log(b)
+        log_b = np.log(b, out=b)
         log_pi = np.log(model.initial)
+    # row j of candidate holds score[i] + log P(i -> j) over i: the
+    # contiguous last axis keeps argmax from copying. max is exact and
+    # argmax returns the first maximum (smallest index), so the running
+    # score needs no gather and the layout does not change the path
+    log_into = np.ascontiguousarray(log_a.T)
     score = log_pi + log_b[0]
-    back = np.zeros((T, n), dtype=np.intp)
+    back = np.empty((T, n), dtype=np.intp)
     candidate = np.empty((n, n))
-    # max picks exactly the element argmax points at, so the running score
-    # needs no gather; argmax returns the first maximum (smallest index)
-    for t in range(1, T):
-        np.add(score[:, None], log_a, out=candidate)
-        candidate.argmax(axis=0, out=back[t])
-        candidate.max(axis=0, out=score)
-        score += log_b[t]
-    path = np.empty(T, dtype=np.intp)
-    path[-1] = int(np.argmax(score))
-    for t in range(T - 2, -1, -1):
-        path[t] = back[t + 1][path[t + 1]]
-    return np.array(model.latent_scheme.states, dtype=int)[path]
+    add, maximum = np.add, np.maximum.reduce
+    for back_t, log_b_t in zip(back[1:], log_b[1:]):
+        add(score, log_into, candidate)
+        candidate.argmax(1, back_t)
+        maximum(candidate, 1, None, score)
+        add(score, log_b_t, score)
+    # backtrack over a flat list: back[t, j] is steps[t * n + j]
+    steps = back.ravel().tolist()
+    state = int(np.argmax(score))
+    path = [state]
+    for offset in range((T - 1) * n, 0, -n):
+        state = steps[offset + state]
+        path.append(state)
+    return np.array(model.latent_scheme.states, dtype=int)[path[::-1]]
 
 
 def _choice_tables(probs: np.ndarray) -> np.ndarray:
@@ -540,41 +599,62 @@ def read_model(text: str) -> MhmmModel:
 
 
 def write_series_csv(series: ObservedSeries) -> str:
+    """A header row of variable names, then one row of categories per time
+    point, looked up by joint state index in a table of the scheme's states."""
     out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(series.scheme.names)
-    for row in series.data:
-        writer.writerow([int(v) for v in row])
+    csv.writer(out, lineterminator="\n").writerow(series.scheme.names)
+    table = [",".join(map(str, state)) + "\n" for state in series.scheme.states]
+    out.write("".join(map(table.__getitem__, series.state_indices.tolist())))
     return out.getvalue()
 
 
 def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     """Parse a header-plus-integer-rows CSV against an observable scheme.
 
-    Columns may appear in any order but must match the scheme names exactly.
+    Columns may appear in any order but must match the scheme names exactly,
+    up to surrounding spaces. Records whose cells are all blank are skipped;
+    every other record needs one cell per column, each read by int(), so
+    surrounding spaces, signs, leading zeros and digit underscores are
+    accepted. Errors name the record (the header is line 1): the first
+    record that has the wrong number of cells or a cell that is not an
+    integer. The cells are split by csv.reader and converted in one pass
+    over all of them, with no Python code per row.
     """
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
+    records = list(csv.reader(io.StringIO(text)))
+    if not records:
         raise ParseError("empty series file")
-    header = [h.strip() for h in header]
+    header = [h.strip() for h in records[0]]
     if sorted(header) != sorted(scheme.names):
         raise ParseError(
             f"series columns {header} do not match observable variables {list(scheme.names)}"
         )
     order = [header.index(name) for name in scheme.names]
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) != len(header):
-            raise ParseError(f"line {lineno}: expected {len(header)} cells, got {len(row)}")
-        try:
-            values = [int(row[i]) for i in order]
-        except ValueError:
-            raise ParseError(f"line {lineno}: categories must be integers")
-        rows.append(values)
-    if not rows:
+    k = len(header)
+    body = records[1:]
+    lengths = np.fromiter(map(len, body), np.intp, len(body))
+    cells = list(itertools.chain.from_iterable(body))
+    # filled[c] counts the non-blank cells before cell c: a record whose
+    # cells add none is blank
+    filled = np.zeros(len(cells) + 1, dtype=np.intp)
+    np.cumsum(np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells)), out=filled[1:])
+    ends = np.cumsum(lengths)
+    kept = filled[ends] > filled[ends - lengths]
+    ragged = np.flatnonzero(kept & (lengths != k))
+    if ragged.size:
+        # the records after the first ragged one are never read
+        kept[ragged[0] :] = False
+    rows = np.flatnonzero(kept)
+    if rows.size < len(body):
+        cells = list(itertools.compress(cells, np.repeat(kept, lengths).tolist()))
+    remaining = iter(cells)
+    try:
+        values = np.fromiter(map(int, remaining), np.int64, len(cells))
+    except ValueError:
+        bad = len(cells) - sum(1 for _ in remaining) - 1
+        raise ParseError(f"line {rows[bad // k] + 2}: categories must be integers") from None
+    if ragged.size:
+        line = ragged[0]
+        raise ParseError(f"line {line + 2}: expected {k} cells, got {lengths[line]}")
+    if not rows.size:
         raise ParseError("series file has no data rows")
-    return ObservedSeries(scheme, np.array(rows, dtype=int))
+    return ObservedSeries(scheme, values.reshape(-1, k)[:, order])

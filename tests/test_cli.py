@@ -95,10 +95,10 @@ def test_stalled_fit_reports_not_converged(tmp_path, tiny_model_file, monkeypatc
     calls = itertools.count()
     real = mhmm.fit.expected_counts
 
-    def sinking(models, series):
+    def sinking(models, series, needs_counts=None):
         return [
             (counts_trans, counts_emit, log_lik - 1e6 * next(calls))
-            for counts_trans, counts_emit, log_lik in real(models, series)
+            for counts_trans, counts_emit, log_lik in real(models, series, needs_counts)
         ]
 
     monkeypatch.setattr(mhmm.fit, "expected_counts", sinking)

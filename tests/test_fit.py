@@ -6,6 +6,7 @@ import scipy.optimize
 from pytest import approx
 
 import mhmm.fit
+import mhmm.model
 from mhmm import (
     ConstraintSet,
     DomainError,
@@ -444,6 +445,76 @@ def test_lock_step_restart_matches_a_lone_fit():
     assert many.converged == (many.stop_reason == "tol")
 
 
+def counting_backward(monkeypatch):
+    """Record the row count of every backward pass."""
+    real = mhmm.model._backward
+    rows = []
+
+    def counting(models, b, scales):
+        rows.append(len(models))
+        return real(models, b, scales)
+
+    monkeypatch.setattr(mhmm.model, "_backward", counting)
+    return rows
+
+
+def test_stopping_rows_skip_the_backward_pass(monkeypatch):
+    _, series = simulate(generating_model(), 200, seed=3)
+    rows = counting_backward(monkeypatch)
+    sizes = counting_e_step(monkeypatch)
+    fit = em_fit(LAT, OBS, ConstraintSet(LAT, OBS), series, FitOptions(restarts=3, max_iter=1))
+    assert [record.stop_reason for record in fit.restarts] == ["max_iter"] * 3
+    # two E-steps over the three restarts; only the first is M-stepped
+    assert sizes == [3, 3]
+    assert rows == [3]
+
+
+def fit_digest(fit):
+    digest = hashlib.sha256()
+    digest.update(repr((fit.iterations, fit.stop_reason, fit.best_restart, fit.log_lik)).encode())
+    for values in (
+        fit.em_trace, fit.model.transition, fit.model.emission, fit.model.initial,
+        fit.delta.values, fit.theta.values,
+    ):
+        digest.update(np.ascontiguousarray(values, dtype="<f8").tobytes())
+    for record in fit.restarts:
+        digest.update(
+            repr((record.restart, record.iterations, record.stop_reason, record.error)).encode()
+        )
+        digest.update(np.float64(record.log_lik).tobytes())
+        digest.update(np.ascontiguousarray(record.trace, dtype="<f8").tobytes())
+    return digest.hexdigest()
+
+
+# sha256 of FitResults whose restarts are damped and stop on tol, max_iter or
+# an error, recorded with the E-step that formed counts for every row
+GOLDEN_DAMPED_FITS = {
+    "saturated": "5653f8da9501e04cb7c31a2d9ceb96c2b939f43e35f7b8411754939494772631",
+    "noGranger": "c983e4bf7854c632cfc1f803cfd65b0b1e3d946d5fcd7956ff83cd2cd253d554",
+}
+
+
+def test_damped_and_stopped_fits_match_golden_digests(monkeypatch):
+    _, series = simulate(generating_model(), 20, seed=0)
+    constraints = {"saturated": ConstraintSet(LAT, OBS), "noGranger": no_granger_constraints()[1]}
+    rows = counting_backward(monkeypatch)
+    sizes = counting_e_step(monkeypatch)
+    for name, cs in constraints.items():
+        rows.clear()
+        sizes.clear()
+        fit = em_fit(LAT, OBS, cs, series, FitOptions(restarts=3, seed=0, max_iter=150))
+        assert fit_digest(fit) == GOLDEN_DAMPED_FITS[name]
+        iterations = max(record.iterations for record in fit.restarts)
+        # damping halvings add E-steps beyond one per iteration
+        assert len(sizes) > iterations + 1
+        if name == "saturated":
+            assert {record.stop_reason for record in fit.restarts} == {"tol", "max_iter"}
+            # counts only for the iterates an M-step starts from
+            assert sum(rows) == sum(record.iterations for record in fit.restarts)
+        else:
+            assert [record.stop_reason for record in fit.restarts] == ["tol", "error", "error"]
+
+
 def test_failed_restart_is_recorded_and_leaves_the_others_unchanged(monkeypatch):
     truth = generating_model()
     _, series = simulate(truth, 200, seed=5)
@@ -453,8 +524,8 @@ def test_failed_restart_is_recorded_and_leaves_the_others_unchanged(monkeypatch)
     real = mhmm.fit.expected_counts
     calls = []
 
-    def failing_first_e_step_of_restart_1(models, series):
-        rows = real(models, series)
+    def failing_first_e_step_of_restart_1(models, series, needs_counts=None):
+        rows = real(models, series, needs_counts)
         calls.append(len(models))
         if len(calls) == 1:
             rows[1] = NumericalError("forced failure")
@@ -479,7 +550,7 @@ def test_fit_raises_when_every_restart_fails(monkeypatch):
     truth = generating_model()
     _, series = simulate(truth, 50, seed=5)
 
-    def failing(models, series):
+    def failing(models, series, needs_counts=None):
         return [NumericalError(f"forced failure {i}") for i in range(len(models))]
 
     monkeypatch.setattr(mhmm.fit, "expected_counts", failing)
@@ -584,9 +655,9 @@ def counting_e_step(monkeypatch):
     real = mhmm.fit.expected_counts
     sizes = []
 
-    def counting(models, series):
+    def counting(models, series, needs_counts=None):
         sizes.append(len(models))
-        return real(models, series)
+        return real(models, series, needs_counts)
 
     monkeypatch.setattr(mhmm.fit, "expected_counts", counting)
     return sizes
@@ -679,7 +750,7 @@ def test_fit_specs_raises_in_spec_order(batch_series, monkeypatch):
     with pytest.raises(ParseError):
         fit_specs([fits, bare], batch_series)
 
-    def failing(models, series):
+    def failing(models, series, needs_counts=None):
         return [NumericalError("forced failure") for _ in models]
 
     monkeypatch.setattr(mhmm.fit, "expected_counts", failing)

@@ -10,6 +10,7 @@ from mhmm import (
     MhmmModel,
     NumericalError,
     ObservedSeries,
+    ParseError,
     VariableScheme,
     forward_backward,
     joint_law,
@@ -23,6 +24,7 @@ from mhmm import (
     write_model,
     write_series_csv,
 )
+import mhmm.model
 from mhmm.model import expected_counts
 from helpers import (
     path_sum_log_likelihood,
@@ -156,6 +158,45 @@ def test_batched_e_step_rows_equal_single_model_calls(latent_counts):
             for model, row in zip(stack, rows):
                 assert_same_counts(row, expected_counts([model], series)[0])
                 assert_same_counts(row, counts_from_posteriors(model, series))
+
+
+# sha256 of expected_counts over a stack of three models, at lengths on and
+# around the pair blocks of the E-step's transition counts, recorded with
+# the E-step that summed one whole (T - 1, n, n) pair array
+GOLDEN_E_STEP = {
+    "2x2-block-50": "2ac72c1b1baa4e4f42b91129fb58b9d81063f2c0818dadf5d6706d11cebd38f9",
+    "2x2-default-block": "91b2619ba8f692a02fb73554c94695cca45cb2762742b67eb89bfcee2e46c547",
+    "3x3-default-block": "4755a43b1a4371210bd7a89bb7bc4cf0eae17896e33d13da73fab08448a60d82",
+}
+
+
+@pytest.mark.parametrize(
+    "name, latent_counts, block, forced",
+    [
+        ("2x2-block-50", (2, 2), 50, True),
+        ("2x2-default-block", (2, 2), 8192, False),
+        ("3x3-default-block", (3, 3), 1618, False),
+    ],
+)
+def test_e_step_counts_match_golden_digest_across_pair_blocks(
+    name, latent_counts, block, forced, monkeypatch
+):
+    latent = VariableScheme.of(*[(f"E{i}", c) for i, c in enumerate(latent_counts)])
+    observed = VariableScheme.of(("F1", 3), ("F2", 2))
+    n = latent.n_states
+    if forced:
+        monkeypatch.setattr(mhmm.model, "PAIR_BLOCK_BYTES", 8 * n * n * block)
+    assert mhmm.model._pair_block(n) == block
+    rng = np.random.default_rng(2024 + n)
+    models = [random_model(rng, latent, observed) for _ in range(3)]
+    digest = hashlib.sha256()
+    for length in (1, 2, block - 1, block + 1, block + 2, 3 * block + 1):
+        _, series = simulate(models[0], length, seed=length)
+        for counts_trans, counts_emit, log_lik in expected_counts(models, series):
+            digest.update(counts_trans.tobytes())
+            digest.update(counts_emit.tobytes())
+            digest.update(np.float64(log_lik).tobytes())
+    assert digest.hexdigest() == GOLDEN_E_STEP[name]
 
 
 def test_batched_e_step_isolates_an_underflowing_row(rng):
@@ -330,6 +371,63 @@ def test_series_csv_round_trip():
     back = read_series_csv(text, scheme)
     assert np.array_equal(back.data, s.data)
     assert back.fingerprint == s.fingerprint
+
+
+CSV_SCHEME = VariableScheme.of(("F1", 12), ("F2", 2))
+CSV_ROWS = [[1, 2], [12, 1]]
+# what read_series_csv made of each input, recorded with the per-row reader
+# that the bulk one replaced
+ACCEPTED_CSV = {
+    "blank and comma rows": ("F1,F2\n1,2\n\n,\n , \n12,1\n", CSV_ROWS),
+    "spaces around cells": (" F1 , F2 \n 1 , 2 \n12,1\n", CSV_ROWS),
+    "crlf": ("F1,F2\r\n1,2\r\n12,1\r\n", CSV_ROWS),
+    "quoted cells": ('"F1","F2"\n"1","2"\n12,"1"\n', CSV_ROWS),
+    "reordered columns": ("F2,F1\n2,1\n1,12\n", CSV_ROWS),
+    "int forms": ("F1,F2\n1_0,+2\n011,1\n", [[10, 2], [11, 1]]),
+}
+REJECTED_CSV = {
+    "ragged short": ("F1,F2\n1,2\n3\n4,1\n", "line 3: expected 2 cells, got 1"),
+    "ragged long": ("F1,F2\n1,2\n3,1,1\n", "line 3: expected 2 cells, got 3"),
+    "non-integer": ("F1,F2\n1,2\n\n3,x\n", "line 4: categories must be integers"),
+    "non-integer before ragged": ("F1,F2\n1.0,2\n3\n", "line 2: categories must be integers"),
+    "blank cell": ("F1,F2\n1,\n", "line 2: categories must be integers"),
+    "header mismatch": (
+        "F1,G2\n1,2\n",
+        "series columns ['F1', 'G2'] do not match observable variables ['F1', 'F2']",
+    ),
+    "empty file": ("", "empty series file"),
+    "header only": ("F1,F2\n", "series file has no data rows"),
+    "header and blank rows": ("F1,F2\n\n,\n", "series file has no data rows"),
+}
+
+
+@pytest.mark.parametrize("name", ACCEPTED_CSV)
+def test_series_csv_accepted_inputs(name):
+    text, rows = ACCEPTED_CSV[name]
+    series = read_series_csv(text, CSV_SCHEME)
+    assert series.data.tolist() == rows
+    assert series.data.dtype == np.dtype(int)
+
+
+@pytest.mark.parametrize("name", REJECTED_CSV)
+def test_series_csv_rejected_inputs(name):
+    text, message = REJECTED_CSV[name]
+    with pytest.raises(ParseError) as raised:
+        read_series_csv(text, CSV_SCHEME)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("length", [1, 200])
+def test_series_csv_write_read_write_is_byte_identical(length):
+    # F1 has multi-digit categories
+    scheme = VariableScheme.of(("F1", 12), ("G", 2), ("H", 3))
+    rng = np.random.default_rng(length)
+    data = np.column_stack([rng.integers(1, c + 1, length) for c in scheme.counts])
+    text = write_series_csv(ObservedSeries(scheme, data))
+    assert text == "F1,G,H\n" + "".join(",".join(map(str, row)) + "\n" for row in data.tolist())
+    back = read_series_csv(text, scheme)
+    assert np.array_equal(back.data, data)
+    assert write_series_csv(back) == text
 
 
 def test_series_csv_rejects_bad_categories():
