@@ -22,7 +22,12 @@ iterating, while every decision (observed or ridged expected information,
 the solve, the line search, the exit) is taken per table. A matrix product
 whose rounding depends on how many rows it spans is formed per table (see
 interactions._by_block), so each table's solution equals its lone solve
-bitwise, and one table's failure leaves the others unchanged.
+bitwise, and one table's failure leaves the others unchanged. Every
+stacked kernel returns its per-row or per-block errors rather than raising
+(the contrast inversion _invert_rows per table, batched_m_step and the
+E-step per row), and one helper, interactions._linalg_blocks, locates a
+numpy.linalg failure inside a stack: numpy raises for the whole stack, and
+only then the helper reruns the function once per block.
 
 A damping guard interpolates back toward the previous iterate whenever a
 full M-step would decrease the observed-data log-likelihood, which keeps the
@@ -62,9 +67,9 @@ from .errors import DomainError, NumericalError
 from .interactions import (
     InteractionSpace,
     InteractionTable,
-    InversionFailures,
     _invert_rows,
     _jacobian_rows,
+    _linalg_blocks,
     _softmax_rows,
     contrasts_from_table,
     interactions_from_table,
@@ -207,10 +212,10 @@ class _MStepProblem:
         part.counts, part.totals = self.counts[rows], self.totals[rows]
         return part
 
-    def solve_states(self, theta_values: np.ndarray, warm_x: np.ndarray | None) -> np.ndarray:
+    def solve_states(self, theta_values: np.ndarray, warm_x: np.ndarray | None):
         """Free log-probabilities carrying the coefficient rows theta_values,
-        in blocks of n_cond rows, one block per table; raises
-        InversionFailures naming the blocks that failed (see _invert_rows)."""
+        in blocks of n_cond rows, one block per table, and the errors of the
+        blocks that failed (see _invert_rows)."""
         n_cond = self.space.condition.n_states
         eta = self.space.zeta @ theta_values.reshape(-1, n_cond, self.m)
         return _invert_rows(self.space, eta.reshape(-1, self.m), x0=warm_x, block=n_cond)
@@ -230,9 +235,7 @@ class _MStepProblem:
         g_theta = self.space.zeta.T @ h
         return g_theta.reshape(*h.shape[:-2], -1), j_inv, h
 
-    def gradient_and_info(
-        self, x: np.ndarray, probs: np.ndarray, _curvature: bool = False, _score=None
-    ):
+    def gradient_and_info(self, probs: np.ndarray, _curvature: bool = False, _score=None):
         """Score and expected information in interaction coordinates.
 
         With J_e the contrast Jacobian of conditioning state e, the chart map
@@ -388,12 +391,8 @@ class _Iterates:
 def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_iter: int) -> list:
     """The iteration of constrained_m_step on every row of problem in lock-step."""
     rows, n_cond, m = theta.shape
-    out = [None] * rows
-    try:
-        x = problem.solve_states(theta.reshape(-1, m), None)
-    except InversionFailures as exc:
-        x = exc.x
-        out = [exc.errors.get(r) for r in range(rows)]
+    x, errors = problem.solve_states(theta.reshape(-1, m), None)
+    out = [errors.get(r) for r in range(rows)]
     alive = np.array([r for r, error in enumerate(out) if error is None], dtype=int)
     x = x.reshape(theta.shape)
     probs = np.empty((rows, n_cond, m + 1))
@@ -449,49 +448,22 @@ def _newton_steps(part: _MStepProblem, it: _Iterates, rows: np.ndarray, g_free: 
     free = np.flatnonzero(part.free)
     n = free.size
     score = it.score_of(rows)
-    _, info = part.gradient_and_info(it.x[rows], it.probs[rows], _curvature=True, _score=score)
+    _, info = part.gradient_and_info(it.probs[rows], _curvature=True, _score=score)
     info_free = info[np.ix_(np.arange(rows.size), free, free)]
     del info
-    fisher = np.flatnonzero(~_definite_rows(info_free))
+    # keep only the flags: holding the factors through the solve raises peak memory
+    fisher = np.flatnonzero(~_linalg_blocks(np.linalg.cholesky, info_free)[1])
     if fisher.size:
         _, info = part.take(fisher).gradient_and_info(
-            it.x[rows[fisher]], it.probs[rows[fisher]], _score=tuple(s[fisher] for s in score)
+            it.probs[rows[fisher]], _score=tuple(s[fisher] for s in score)
         )
         info_free[fisher] = info[np.ix_(np.arange(fisher.size), free, free)]
         del info
         for i in fisher:
             info_i = info_free[i]
             info_i.flat[:: n + 1] += 1e-10 * (1.0 + np.trace(info_i) / n)
-    try:
-        return np.linalg.solve(info_free, g_free[..., None])[..., 0], np.ones(rows.size, bool)
-    except np.linalg.LinAlgError:
-        pass
-    # numpy raises for the whole stack: locate the singular rows one by one
-    steps, solved = np.zeros_like(g_free), np.zeros(rows.size, dtype=bool)
-    for i in range(rows.size):
-        try:
-            steps[i] = np.linalg.solve(info_free[i], g_free[i])
-            solved[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return steps, solved
-
-
-def _definite_rows(stack: np.ndarray) -> np.ndarray:
-    """Whether each matrix of a stack has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(stack)
-        return np.ones(len(stack), dtype=bool)
-    except np.linalg.LinAlgError:
-        pass
-    definite = np.zeros(len(stack), dtype=bool)
-    for i, matrix in enumerate(stack):
-        try:
-            np.linalg.cholesky(matrix)
-            definite[i] = True
-        except np.linalg.LinAlgError:
-            pass
-    return definite
+    steps, solved = _linalg_blocks(np.linalg.solve, info_free, g_free[..., None])
+    return steps[..., 0], solved
 
 
 def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps: np.ndarray):
@@ -513,12 +485,9 @@ def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps:
         at = rows[pending]
         trial = it.theta[at]
         trial.reshape(at.size, -1)[:, free] += scale * steps[pending]
+        x_trial, errors = problem.solve_states(trial.reshape(-1, m), it.x[at].reshape(-1, m))
         inverted = np.ones(at.size, dtype=bool)
-        try:
-            x_trial = problem.solve_states(trial.reshape(-1, m), it.x[at].reshape(-1, m))
-        except InversionFailures as exc:
-            x_trial = exc.x
-            inverted[list(exc.errors)] = False
+        inverted[list(errors)] = False
         x_trial = x_trial.reshape(at.size, n_cond, m)[inverted]
         trial, tried = trial[inverted], pending[inverted]
         probs_trial = _softmax_rows(x_trial)

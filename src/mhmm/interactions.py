@@ -306,13 +306,18 @@ def _validate_table(space: InteractionSpace, probs: np.ndarray) -> np.ndarray:
     return probs
 
 
+def contrast_of_distribution(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
+    """Contrast vector of a strictly positive distribution over the response
+    cells, or of every distribution along the last axis of a stack; the
+    input is not checked (see contrasts_from_table)."""
+    return np.log(p @ space.marginalizer.T) @ space.contrast.T
+
+
 def contrasts_from_table(space: InteractionSpace, probs: np.ndarray) -> np.ndarray:
     """Marginal contrasts of a conditional table, one row per conditioning
     state, or of a stack of tables along leading axes. Requires strictly
     positive tables with unit row sums."""
-    probs = _validate_table(space, probs)
-    margins = probs @ space.marginalizer.T
-    return np.log(margins) @ space.contrast.T
+    return contrast_of_distribution(space, _validate_table(space, probs))
 
 
 def interactions_from_table(space: InteractionSpace, probs: np.ndarray) -> InteractionTable:
@@ -350,10 +355,6 @@ def _softmax_rows(x_free: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
-def _contrasts_of_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
-    return np.log(p @ space.marginalizer.T) @ space.contrast.T
-
-
 def _jacobian_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     """Per-row derivative of the contrast vector in free log-probability
     coordinates (cell 0 pinned at zero); rows along the last axis of p but
@@ -366,27 +367,12 @@ def _jacobian_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     return dlog @ dp
 
 
-class InversionFailures(NumericalError):
-    """Blocks of a stacked contrast inversion that failed.
-
-    errors maps the index of each failing block to the NumericalError that
-    inverting that block alone raises, and x holds the solution of every
-    other block. The message is that of the first failing block.
-    """
-
-    def __init__(self, errors: dict[int, NumericalError], x: np.ndarray):
-        first = errors[min(errors)]
-        super().__init__(str(first), residual=first.residual)
-        self.errors = errors
-        self.x = x
-
-
 def _invert_rows(
     space: InteractionSpace,
     target: np.ndarray,
     x0: np.ndarray | None = None,
     block: int | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, dict[int, NumericalError]]:
     """Solve for the distributions carrying the requested contrast rows.
 
     Damped Newton on all rows at once, parameterized by free
@@ -396,8 +382,10 @@ def _invert_rows(
     one block of all rows), and each block succeeds or fails as a call on
     its rows alone would: the ridge fallback for a singular Jacobian and
     the stall and iteration-limit tests look at the block's own rows, and a
-    failing block drops out without changing the other rows. Raises
-    InversionFailures if any block fails.
+    failing block drops out without changing the other rows. Returns
+    (x, errors): errors maps the number of each failing block, in order, to
+    the NumericalError of that block, and x holds every other block's
+    solution.
     """
     target = np.asarray(target, dtype=float)
     rows, m = target.shape
@@ -405,7 +393,15 @@ def _invert_rows(
     x = np.zeros((rows, m)) if x0 is None else np.array(x0, dtype=float)
 
     def contrasts(p, at):
-        return _by_block(lambda q: _contrasts_of_rows(space, q), p, at, block)
+        return _by_block(lambda q: contrast_of_distribution(space, q), p, at, block)
+
+    def fail(at, message):
+        """Drop the blocks of rows at, each with an error that formats its
+        worst residual into message."""
+        for b, part in _block_parts(at, block):
+            worst = float(err[at[part]].max())
+            errors[b] = NumericalError(message.format(worst=worst), residual=worst)
+            live[b * block : (b + 1) * block] = False
 
     p = _softmax_rows(x)
     residual = contrasts(p, np.arange(rows)) - target
@@ -419,29 +415,21 @@ def _invert_rows(
             break
         jac = _by_block(lambda q: _jacobian_rows(space, q), p[active], active, block)
         rhs = -residual[active][:, :, None]
-        try:
-            step = np.linalg.solve(jac, rhs)[:, :, 0]
-        except np.linalg.LinAlgError:
-            step = np.empty((active.size, m))
-            ridge = 1e-12 * np.eye(m)[None]
-            for b, part in _block_parts(active, block):
-                try:
-                    step[part] = np.linalg.solve(jac[part], rhs[part])[:, :, 0]
-                    continue
-                except np.linalg.LinAlgError:
-                    pass
-                try:
-                    step[part] = np.linalg.solve(jac[part] + ridge, rhs[part])[:, :, 0]
-                except np.linalg.LinAlgError:
-                    errors[b] = NumericalError("contrast inversion met a singular Jacobian")
-                    live[b * block : (b + 1) * block] = False
-            kept = live[active]
-            active, step = active[kept], step[kept]
-        scale = np.ones(active.size)
+        step, ok = _linalg_blocks(np.linalg.solve, jac, rhs, rows=active, block=block)
+        if not ok.all():
+            retry = np.flatnonzero(~ok)
+            step[retry], ok[retry] = _linalg_blocks(
+                np.linalg.solve, jac[retry] + 1e-12 * np.eye(m), rhs[retry],
+                rows=active[retry], block=block,
+            )
+            fail(active[~ok], "contrast inversion met a singular Jacobian")
+            active, step = active[ok], step[ok]
+        step = step[:, :, 0]
+        scale = 1.0
         pending = np.arange(active.size)
         for _ in range(NEWTON_MAX_HALVINGS):
             g = active[pending]
-            trial = np.clip(x[g] + scale[pending, None] * step[pending], -LOG_BOUND, LOG_BOUND)
+            trial = np.clip(x[g] + scale * step[pending], -LOG_BOUND, LOG_BOUND)
             p_try = _softmax_rows(trial)
             res_try = contrasts(p_try, g) - target[g]
             err_try = np.abs(res_try).max(axis=1)
@@ -454,24 +442,14 @@ def _invert_rows(
             pending = pending[~ok]
             if pending.size == 0:
                 break
-            scale[pending] *= 0.5
-        stalled = active[pending]
-        for b, part in _block_parts(stalled, block):
-            worst = float(err[stalled[part]].max())
-            errors[b] = NumericalError(
-                f"contrast inversion stalled at residual {worst:.3e}", residual=worst
-            )
-            live[b * block : (b + 1) * block] = False
-    for b, _ in _block_parts(np.flatnonzero(live & ~(err <= NEWTON_TOL)), block):
-        worst = float(err[b * block : (b + 1) * block].max())
-        errors[b] = NumericalError(
-            f"contrast inversion did not converge within {NEWTON_MAX_ITER} iterations; "
-            f"residual {worst:.3e}",
-            residual=worst,
-        )
-    if errors:
-        raise InversionFailures(dict(sorted(errors.items())), x)
-    return x
+            scale *= 0.5
+        fail(active[pending], "contrast inversion stalled at residual {worst:.3e}")
+    fail(
+        np.flatnonzero(live & ~(err <= NEWTON_TOL)),
+        f"contrast inversion did not converge within {NEWTON_MAX_ITER} iterations; "
+        "residual {worst:.3e}",
+    )
+    return x, dict(sorted(errors.items()))
 
 
 def _by_block(fn, values: np.ndarray, rows: np.ndarray, block: int) -> np.ndarray:
@@ -509,19 +487,36 @@ def _block_parts(rows: np.ndarray, block: int) -> list[tuple[int, np.ndarray]]:
     return [(int(rows[part[0]]) // block, part) for part in np.split(np.arange(rows.size), cuts)]
 
 
-def contrast_of_distribution(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
-    """Contrast vector of a single strictly positive distribution."""
-    margins = space.marginalizer @ p
-    return space.contrast @ np.log(margins)
+def _linalg_blocks(fn, *stacks: np.ndarray, rows: np.ndarray | None = None, block: int = 1):
+    """(fn(*stacks), ok) for a numpy.linalg function fn on stacked matrices,
+    with ok saying for each stack entry whether its block succeeded.
+
+    numpy raises LinAlgError for a whole stack when one matrix fails, so
+    only then fn runs once per block of `block` entries, which rows numbers
+    (sorted; by default 0, 1, ...). A failed block's result stays zero. The
+    result has the shape of the last stack, as for solve and cholesky.
+    """
+    try:
+        return fn(*stacks), np.ones(len(stacks[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.zeros_like(stacks[-1])
+    ok = np.zeros(len(out), dtype=bool)
+    for _, part in _block_parts(np.arange(len(out)) if rows is None else rows, block):
+        try:
+            out[part] = fn(*(stack[part] for stack in stacks))
+            ok[part] = True
+        except np.linalg.LinAlgError:
+            pass
+    return out, ok
 
 
-def table_from_interactions(table: InteractionTable, warm: np.ndarray | None = None) -> np.ndarray:
+def table_from_interactions(table: InteractionTable) -> np.ndarray:
     """Inverse map: interaction coefficients to the conditional table.
 
-    warm optionally provides free log-probabilities per conditioning state
-    from a previous solve. Raises a domain error if the solution carries a
-    probability below the positivity floor or a coefficient is not finite,
-    and a numerical error on non-convergence.
+    Raises a domain error if the solution carries a probability below the
+    positivity floor or a coefficient is not finite, and a numerical error
+    on non-convergence.
     """
     space = table.space
     if not np.all(np.isfinite(table.values)):
@@ -531,7 +526,10 @@ def table_from_interactions(table: InteractionTable, warm: np.ndarray | None = N
             "is not finite"
         )
     eta = collapse_factorial(table)
-    probs = _softmax_rows(_invert_rows(space, eta, x0=warm))
+    x, errors = _invert_rows(space, eta)
+    if errors:
+        raise errors[0]
+    probs = _softmax_rows(x)
     if probs.min() < PROB_FLOOR:
         row, col = np.unravel_index(np.argmin(probs), probs.shape)
         raise DomainError(

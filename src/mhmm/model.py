@@ -125,6 +125,10 @@ class MhmmModel:
         initial = np.asarray(self.initial, dtype=float)
         if initial.shape != (ne,):
             raise DomainError(f"initial law shape {initial.shape}, expected {(ne,)}")
+        if not np.all(initial >= 0.0) or abs(initial.sum() - 1.0) > STOCHASTIC_TOL:
+            raise DomainError(
+                f"initial law must be nonnegative and sum to 1 within {STOCHASTIC_TOL:.0e}"
+            )
         if not np.max(np.abs(initial @ transition - initial)) <= 1e-8:
             raise DomainError("initial law is not invariant for the transition table")
         initial = np.clip(initial, 0.0, None)
@@ -390,6 +394,8 @@ def simulate(model: MhmmModel, length: int, seed: int = 0):
     """
     if length < 1:
         raise DomainError(f"series length must be positive, got {length}")
+    if seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
     rng = np.random.default_rng(seed)
     chain_u = rng.random(length).tolist()
     emit_u = rng.random(length)
@@ -617,8 +623,8 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     surrounding spaces, signs, leading zeros and digit underscores are
     accepted. Errors name the record (the header is line 1): the first
     record that has the wrong number of cells or a cell that is not an
-    integer. The cells are split by csv.reader and converted in one pass
-    over all of them, with no Python code per row.
+    integer or lies beyond int64. The cells are split by csv.reader and
+    converted in one pass over all of them, with no Python code per row.
     """
     records = list(csv.reader(io.StringIO(text)))
     if not records:
@@ -649,9 +655,10 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     remaining = iter(cells)
     try:
         values = np.fromiter(map(int, remaining), np.int64, len(cells))
-    except ValueError:
+    except (ValueError, OverflowError) as exc:
         bad = len(cells) - sum(1 for _ in remaining) - 1
-        raise ParseError(f"line {rows[bad // k] + 2}: categories must be integers") from None
+        what = "must be integers" if isinstance(exc, ValueError) else "exceed the int64 range"
+        raise ParseError(f"line {rows[bad // k] + 2}: categories {what}") from None
     if ragged.size:
         line = ragged[0]
         raise ParseError(f"line {line + 2}: expected {k} cells, got {lengths[line]}")

@@ -346,6 +346,32 @@ def test_simulate_rejects_nan_model_cell(tmp_path, tiny_model_file, capsys, sect
     assert capsys.readouterr().err.startswith("error:domain:")
 
 
+@pytest.mark.parametrize("law", ["missing", "doubled", "negative"])
+def test_simulate_rejects_an_initial_law_that_is_not_a_distribution(
+    tmp_path, tiny_model_file, capsys, law
+):
+    # [initial] is the last section; each edit keeps the law invariant for
+    # the transition table, and a missing section reads as all zeros
+    lines = tiny_model_file.read_text().splitlines()
+    start = lines.index("[initial]")
+    lines, cells = lines[:start], lines[start:]
+    if law != "missing":
+        factor = 2.0 if law == "doubled" else -1.0
+        lines.append(cells[0])
+        lines += [f"{key} {factor * float(value)!r}" for key, value in map(str.split, cells[1:])]
+    tiny_model_file.write_text("\n".join(lines) + "\n")
+    rc = main(["simulate", "--spec", str(tiny_model_file), "--length", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error:domain: initial law must be")
+
+
+def test_simulate_rejects_a_negative_seed(tmp_path, tiny_model_file, capsys):
+    argv = ["simulate", "--spec", str(tiny_model_file), "--length", "10", "--seed", "-1"]
+    rc = main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error:domain: seed must be a nonnegative integer\n"
+
+
 def test_missing_file_exit_code(tmp_path, capsys):
     rc = main(["count-params", "--spec", str(tmp_path / "absent.spec")])
     assert rc == 2

@@ -159,7 +159,7 @@ def test_scoring_matches_dense_oracle(name, rng):
     space = SCORING_SPACES[name]
     counts, x, probs = scoring_point(space, rng)
     problem = _MStepProblem(space, counts, np.zeros((space.condition.n_states, space.n_columns)))
-    g, info = problem.gradient_and_info(x, probs)
+    g, info = problem.gradient_and_info(probs)
     g_ref, info_ref = dense_gradient_and_info(space, counts, probs)
     assert g.shape == g_ref.shape and info.shape == info_ref.shape
     assert max_rel_error(g, g_ref) <= SCORING_RTOL
@@ -175,10 +175,10 @@ def test_scoring_gradient_matches_central_differences(name, rng):
     theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
 
     def objective(values):
-        return problem.loglik(_softmax_rows(problem.solve_states(values, None)))
+        return problem.loglik(_softmax_rows(problem.solve_states(values, None)[0]))
 
-    x = problem.solve_states(theta, None)
-    g, _ = problem.gradient_and_info(x, _softmax_rows(x))
+    x, _ = problem.solve_states(theta, None)
+    g, _ = problem.gradient_and_info(_softmax_rows(x))
     h = 1e-5
     numeric = []
     for j in np.flatnonzero(problem.free):
@@ -200,14 +200,14 @@ def test_observed_information_matches_central_differences(name, rng):
     mask = rng.random((space.condition.n_states, space.n_columns)) < 0.3
     problem = _MStepProblem(space, counts, mask)
     theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
-    x = problem.solve_states(theta, None)
+    x, _ = problem.solve_states(theta, None)
     free = np.flatnonzero(problem.free)
 
     def score(values):
-        probs = _softmax_rows(problem.solve_states(values, x))
-        return problem.gradient_and_info(None, probs)[0][free]
+        probs = _softmax_rows(problem.solve_states(values, x)[0])
+        return problem.gradient_and_info(probs)[0][free]
 
-    _, info = problem.gradient_and_info(x, _softmax_rows(x), _curvature=True)
+    _, info = problem.gradient_and_info(_softmax_rows(x), _curvature=True)
     h = 1e-5
     columns = []
     for j in free:
@@ -247,7 +247,7 @@ def test_m_step_converges_on_additivity_far_from_additive_rows():
     theta, probs = constrained_m_step(space, counts, mask)
     assert np.all(theta[mask] == 0.0)
     problem = _MStepProblem(space, counts, mask)
-    g, _ = problem.gradient_and_info(None, probs)
+    g, _ = problem.gradient_and_info(probs)
     assert np.max(np.abs(g[problem.free])) < MSTEP_GTOL
 
 
@@ -314,9 +314,9 @@ def lone_m_steps(counts, warm, gtol, monkeypatch):
     kinds = []
     real = _MStepProblem.gradient_and_info
 
-    def counting(self, x, probs, _curvature=False, _score=None):
+    def counting(self, probs, _curvature=False, _score=None):
         kinds.append(_curvature)
-        return real(self, x, probs, _curvature, _score)
+        return real(self, probs, _curvature, _score)
 
     monkeypatch.setattr(_MStepProblem, "gradient_and_info", counting)
     out = []

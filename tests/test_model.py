@@ -398,6 +398,7 @@ REJECTED_CSV = {
     "empty file": ("", "empty series file"),
     "header only": ("F1,F2\n", "series file has no data rows"),
     "header and blank rows": ("F1,F2\n\n,\n", "series file has no data rows"),
+    "beyond int64": ("F1,F2\n1,2\n99999999999999999999,1\n", "line 3: categories exceed the int64 range"),
 }
 
 
