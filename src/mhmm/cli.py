@@ -150,6 +150,10 @@ def _cmd_compare(args) -> int:
     if len(args.spec) < 2:
         raise ParseError("compare needs at least two --spec files")
     specs = [_with_overrides(read_model_spec(p), args) for p in args.spec]
+    labels = [spec.label for spec in specs]
+    repeated = next((label for label in labels if labels.count(label) > 1), None)
+    if repeated is not None:
+        raise ParseError(f"compare labels must be distinct; {repeated!r} is repeated")
     series = _read_series(args.data, specs[0])
     fits = fit_specs(specs, series)
     table = model_table(fits, reference=fits[0])

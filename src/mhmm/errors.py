@@ -32,7 +32,3 @@ class NumericalError(MhmmError, RuntimeError):
     """A numerical routine failed to converge to the required tolerance."""
 
     category = "numeric"
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual

@@ -19,7 +19,10 @@ The M-step runs in lock-step over count tables that share a space and a
 zero mask (batched_m_step; constrained_m_step is its one-table case). Each
 stage of the iteration is one stacked computation over the tables still
 iterating, while every decision (observed or ridged expected information,
-the solve, the line search, the exit) is taken per table. A matrix product
+the solve, the line search, the exit) is taken per table. Each Newton
+iteration scores its running tables once, at its top, and the score feeds
+both the exit test and the step; the line search scores a trial point only
+to test a flat objective, and keeps nothing. A matrix product
 whose rounding depends on how many rows it spans is formed per table (see
 interactions._by_block), so each table's solution equals its lone solve
 bitwise, and one table's failure leaves the others unchanged. Every
@@ -42,17 +45,18 @@ share a space (by content) and a zero mask, transition tables first, then
 one batched E-step (model.expected_counts) over every running row that
 shares a latent scheme, and each damping halving one more E-step over the
 rows still decreasing. Only iterates that EM goes on from get expected
-counts: the stop rule (verdict) is applied right after each row's forward
-pass, so a row that stops, or a proposal to be damped, costs a forward pass
-and no backward pass. An E-step stack is cut into chunks of at most
-ESTEP_STACK_BYTES of recursion buffers, but never below the largest restart
-count among its problems; an M-step stack into chunks whose k x k matrices
-fit in the same budget, never below one row. A row leaves the batch at its
-own max_iter or tol, or when it stalls or fails. Each row of a batched
-E-step or M-step equals the single-row computation bitwise, so every
-restart, the winner and the written artifacts are the same as with problems
-and restarts fitted one after another; a FitResult records how each restart
-ended.
+counts: the stop rule (verdict) is applied once per iterate, in the E-step
+callback right after each row's forward pass, and its answer is stored on
+the iterate, so a row that stops, or a proposal to be damped, costs a
+forward pass and no backward pass. An E-step stack is cut into chunks of at
+most ESTEP_STACK_BYTES of recursion buffers, but never below the largest
+restart count among its problems; an M-step stack into chunks whose k x k
+matrices fit in the same budget, never below one row. A row leaves the
+batch at its own max_iter or tol, or when it stalls or fails. Each row of a
+batched E-step or M-step equals the single-row computation bitwise, so
+every restart, the winner and the written artifacts are the same as with
+problems and restarts fitted one after another; a FitResult records how
+each restart ended.
 """
 
 from __future__ import annotations
@@ -172,8 +176,8 @@ class FitResult:
 EM_FLOOR = 1e-8
 
 
-def _floored(probs: np.ndarray, floor: float = EM_FLOOR) -> np.ndarray:
-    out = np.maximum(probs, floor)
+def _floored(probs: np.ndarray) -> np.ndarray:
+    out = np.maximum(probs, EM_FLOOR)
     return out / out.sum(axis=-1, keepdims=True)
 
 
@@ -363,33 +367,21 @@ def batched_m_step(
 @dataclass
 class _Iterates:
     """Per-row iterates of a lock-step M-step: coefficients, free
-    log-probabilities, distributions, objective and score norm, and the
-    score (g, j_inv, h, as _MStepProblem.score returns it) where scored."""
+    log-probabilities, distributions, objective and score norm."""
 
     theta: np.ndarray
     x: np.ndarray
     probs: np.ndarray
     value: np.ndarray
     gnorm: np.ndarray
-    score: tuple
-    scored: np.ndarray
 
     def move(self, rows, theta, x, probs, value):
         self.theta[rows], self.x[rows], self.probs[rows], self.value[rows] = theta, x, probs, value
 
-    def set_score(self, rows, score):
-        for stack, part in zip(self.score, score):
-            stack[rows] = part
-        self.scored[rows] = True
-
-    def score_of(self, rows):
-        if rows.size == len(self.scored):  # every row: no copy of the m x m blocks
-            return self.score
-        return tuple(stack[rows] for stack in self.score)
-
 
 def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_iter: int) -> list:
-    """The iteration of constrained_m_step on every row of problem in lock-step."""
+    """The iteration of constrained_m_step on every row of problem in
+    lock-step; each iteration scores its running rows once."""
     rows, n_cond, m = theta.shape
     x, errors = problem.solve_states(theta.reshape(-1, m), None)
     out = [errors.get(r) for r in range(rows)]
@@ -399,28 +391,23 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_ite
     probs[alive] = _softmax_rows(x[alive])
     value = np.empty(rows)
     value[alive] = problem.take(alive).loglik(probs[alive])
-    k = n_cond * m
-    it = _Iterates(
-        theta, x, probs, value, np.full(rows, np.inf),
-        (np.empty((rows, k)), np.empty((rows, n_cond, m, m)), np.empty((rows, n_cond, m))),
-        np.zeros(rows, dtype=bool),
-    )
+    it = _Iterates(theta, x, probs, value, np.full(rows, np.inf))
     free = problem.free
     running = alive if free.any() else alive[:0]
     for iteration in range(max_iter + 1):
-        fresh = running[~it.scored[running]]
-        if fresh.size:
-            it.set_score(fresh, problem.take(fresh).score(it.probs[fresh]))
-        g_free = it.score[0][running][:, free]
-        it.gnorm[running] = np.max(np.abs(g_free), axis=1)
-        if iteration == max_iter:
-            break
-        stepping = ~(it.gnorm[running] < gtol)
-        running, g_free = running[stepping], g_free[stepping]
         if running.size == 0:
             break
-        newton, solved = _newton_steps(problem.take(running), it, running, g_free)
-        it.scored[running] = False
+        part = problem.take(running)
+        score = part.score(it.probs[running])
+        g_free = score[0][:, free]
+        it.gnorm[running] = np.max(np.abs(g_free), axis=1)
+        stepping = ~(it.gnorm[running] < gtol)
+        if iteration == max_iter or not stepping.any():
+            break
+        if not stepping.all():
+            running, g_free = running[stepping], g_free[stepping]
+            part, score = part.take(stepping), tuple(s[stepping] for s in score)
+        newton, solved = _newton_steps(part, it.probs[running], score, g_free)
         gradient = g_free / np.maximum(it.gnorm[running], 1.0)[:, None]
         moved = _line_search(problem, it, running, np.where(solved[:, None], newton, gradient))
         retry = ~moved & solved
@@ -434,28 +421,26 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_ite
         if not free.any() or gnorm < accept:
             out[r] = (it.theta[r], probs_r)
         else:
-            out[r] = NumericalError(
-                f"constrained M-step stalled with gradient norm {gnorm:.3e}", residual=gnorm
-            )
+            out[r] = NumericalError(f"constrained M-step stalled with gradient norm {gnorm:.3e}")
     return out
 
 
-def _newton_steps(part: _MStepProblem, it: _Iterates, rows: np.ndarray, g_free: np.ndarray):
-    """Newton steps in the free coordinates for the given rows, with the
+def _newton_steps(part: _MStepProblem, probs: np.ndarray, score: tuple, g_free: np.ndarray):
+    """Newton steps in the free coordinates for the rows of part at probs,
+    whose score (as _MStepProblem.score returns it) the caller has, with the
     observed information where its free block has a Cholesky factor and the
     ridged expected information otherwise. Returns the steps and whether
     each row's solve succeeded."""
     free = np.flatnonzero(part.free)
     n = free.size
-    score = it.score_of(rows)
-    _, info = part.gradient_and_info(it.probs[rows], _curvature=True, _score=score)
-    info_free = info[np.ix_(np.arange(rows.size), free, free)]
+    _, info = part.gradient_and_info(probs, _curvature=True, _score=score)
+    info_free = info[np.ix_(np.arange(len(probs)), free, free)]
     del info
     # keep only the flags: holding the factors through the solve raises peak memory
     fisher = np.flatnonzero(~_linalg_blocks(np.linalg.cholesky, info_free)[1])
     if fisher.size:
         _, info = part.take(fisher).gradient_and_info(
-            it.probs[rows[fisher]], _score=tuple(s[fisher] for s in score)
+            probs[fisher], _score=tuple(s[fisher] for s in score)
         )
         info_free[fisher] = info[np.ix_(np.arange(fisher.size), free, free)]
         del info
@@ -470,9 +455,11 @@ def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps:
     """Halve each row's step until its objective rises, at most
     MSTEP_MAX_HALVINGS times; the rows still searching share one scale.
 
-    A row whose trial point fails to invert halves too. An accepted point
-    replaces the row's iterate in it, with its score when the flat-objective
-    test computed one. Returns whether each row moved.
+    A row whose trial point fails to invert halves too. A full step that
+    leaves the objective flat at float precision is accepted when it shrinks
+    the score norm by half; that test scores the trial point and keeps
+    nothing, since the next iteration scores its rows afresh. An accepted
+    point replaces the row's iterate in it. Returns whether each row moved.
     """
     n_cond, m = it.theta.shape[1:]
     free = problem.free
@@ -498,9 +485,8 @@ def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps:
             # still shrinks the score, which is where Newton endgames live
             flat = np.flatnonzero(~rises & (value_trial >= value[tried] - flat_guard[tried]))
             if flat.size:
-                score = problem.take(rows[tried[flat]]).score(probs_trial[flat])
-                shrinks = np.max(np.abs(score[0][:, free]), axis=1) < 0.5 * gnorm[tried[flat]]
-                it.set_score(rows[tried[flat[shrinks]]], tuple(s[shrinks] for s in score))
+                g_flat = problem.take(rows[tried[flat]]).score(probs_trial[flat])[0]
+                shrinks = np.max(np.abs(g_flat[:, free]), axis=1) < 0.5 * gnorm[tried[flat]]
                 rises[flat[shrinks]] = True
         moves = tried[rises]
         it.move(rows[moves], trial[rises], x_trial[rises], probs_trial[rises], value_trial[rises])
@@ -522,6 +508,7 @@ class _EmState:
     model: MhmmModel
     log_lik: float = np.nan
     counts: tuple | None = None  # (transition, emission) expected counts
+    verdict: str | None = None  # what EM does with this iterate (see _run_em.verdict)
 
 
 @dataclass
@@ -671,10 +658,11 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
     _stack_rows; each damping halving makes one more over the rows whose
     log-likelihood still falls. One rule, verdict, decides after each
     forward pass whether a row goes on (and so needs expected counts), is
-    damped or stops. A row leaves the batch
-    at its problem's max_iter or tol, or when it stalls or raises
-    NumericalError. Rows of a batched E-step or M-step equal single-row
-    ones bitwise, so every row follows the path it would follow alone.
+    damped or stops; the E-step stores its answer on the iterate, and the
+    damping and accept loops read it there. A row leaves the batch at its
+    problem's max_iter or tol, or when it stalls or raises NumericalError.
+    Rows of a batched E-step or M-step equal single-row ones bitwise, so
+    every row follows the path it would follow alone.
     """
     grouped = [[_Restart(p, r) for r in range(p.options.restarts)] for p in problems]
     runs = [run for group in grouped for run in group]
@@ -696,8 +684,14 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
 
     def e_step(states: dict) -> dict:
         """Batched E-steps, a chunked stack per latent scheme; drops the
-        iterates whose row failed and keeps the order of the others. Only
-        the iterates that will be M-stepped get expected counts."""
+        iterates whose row failed and keeps the order of the others. Each
+        iterate gets its log-likelihood and verdict, and only those that EM
+        goes on from get expected counts."""
+
+        def needs_counts(i, log_lik):
+            states[i].verdict = verdict(i, log_lik)
+            return states[i].verdict is None
+
         stacks = {}
         for i, state in states.items():
             if state is not None:
@@ -707,7 +701,7 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
             for chunk in (rows[lo : lo + size] for lo in range(0, len(rows), size)):
                 results = expected_counts(
                     [states[i].model for i in chunk], series,
-                    lambda r, log_lik, chunk=chunk: verdict(chunk[r], log_lik) is None,
+                    lambda r, log_lik, chunk=chunk: needs_counts(chunk[r], log_lik),
                 )
                 for i, result in zip(chunk, results):
                     if isinstance(result, NumericalError):
@@ -761,12 +755,6 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
             return "tol"
         return None if iteration < run.problem.options.max_iter else "max_iter"
 
-    def halved(i, state):
-        accepted = runs[i].state
-        return candidate(
-            runs[i], 0.5 * (state.delta + accepted.delta), 0.5 * (state.theta + accepted.theta)
-        )
-
     iteration = 0
     active = e_step(
         {i: candidate(run, *run.problem.start(run.restart)) for i, run in enumerate(runs)}
@@ -779,30 +767,35 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
         for i in active:
             runs[i].iterations = iteration
         proposals = e_step(m_steps(active))
-        outcome = {i: verdict(i, state.log_lik) for i, state in proposals.items()}
-        falling = [i for i in proposals if outcome[i] == "falls"]
+        falling = [i for i, state in proposals.items() if state.verdict == "falls"]
         for _ in range(30):
             if not falling:
                 break
-            retried = e_step({i: halved(i, proposals[i]) for i in falling})
+            retried = e_step({
+                i: candidate(
+                    runs[i],
+                    0.5 * (proposals[i].delta + runs[i].state.delta),
+                    0.5 * (proposals[i].theta + runs[i].state.theta),
+                )
+                for i in falling
+            })
             proposals.update(retried)
-            outcome.update((i, verdict(i, state.log_lik)) for i, state in retried.items())
-            falling = [i for i in retried if outcome[i] == "falls"]
+            falling = [i for i, state in retried.items() if state.verdict == "falls"]
         active = {}
         for i, state in proposals.items():
             run = runs[i]
             if run.error is not None:
                 continue
-            if outcome[i] == "falls":
+            if state.verdict == "falls":
                 # no damped step keeps the likelihood from falling: a stall
                 run.stop_reason = "stalled"
                 continue
             run.state = state
             run.trace.append(state.log_lik)
-            if outcome[i] is None:
+            if state.verdict is None:
                 active[i] = state
             else:
-                run.stop_reason = outcome[i]
+                run.stop_reason = state.verdict
     return grouped
 
 

@@ -52,25 +52,21 @@ class IndependenceStatement:
         if self.kind == "local" and (self.left | self.right) & self.cond:
             raise DomainError("conditioning set overlaps a statement side")
 
-    def render(self) -> str:
-        def grp(prefix, names, tag):
-            return f"{prefix}[{','.join(sorted(names))}]({tag})"
+    # (block letter, time tag) of the left side, right side and conditioning set
+    _SIDES = {
+        "granger": (("E", "t"), ("E", "t-1"), ("E", "t-1")),
+        "contemporaneous": (("E", "t"), ("E", "t"), ("E", "t-1")),
+        "local": (("F", "t"), ("F", "t"), ("E", "t")),
+        "emission": (("F", "t"), ("E", "t"), ("E", "t")),
+    }
 
-        if self.kind == "granger":
-            return "{} _||_ {} | {}".format(
-                grp("E", self.left, "t"), grp("E", self.right, "t-1"), grp("E", self.cond, "t-1")
-            )
-        if self.kind == "contemporaneous":
-            return "{} _||_ {} | {}".format(
-                grp("E", self.left, "t"), grp("E", self.right, "t"), grp("E", self.cond, "t-1")
-            )
-        if self.kind == "local":
-            return "{} _||_ {} | {}".format(
-                grp("F", self.left, "t"), grp("F", self.right, "t"), grp("E", self.cond, "t")
-            )
-        return "{} _||_ {} | {}".format(
-            grp("F", self.left, "t"), grp("E", self.right, "t"), grp("E", self.cond, "t")
+    def render(self) -> str:
+        sides = (self.left, self.right, self.cond)
+        left, right, cond = (
+            f"{block}[{','.join(sorted(names))}]({tag})"
+            for (block, tag), names in zip(self._SIDES[self.kind], sides)
         )
+        return f"{left} _||_ {right} | {cond}"
 
     def __str__(self) -> str:
         return self.render()

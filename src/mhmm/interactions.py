@@ -399,8 +399,7 @@ def _invert_rows(
         """Drop the blocks of rows at, each with an error that formats its
         worst residual into message."""
         for b, part in _block_parts(at, block):
-            worst = float(err[at[part]].max())
-            errors[b] = NumericalError(message.format(worst=worst), residual=worst)
+            errors[b] = NumericalError(message.format(worst=float(err[at[part]].max())))
             live[b * block : (b + 1) * block] = False
 
     p = _softmax_rows(x)

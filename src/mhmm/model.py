@@ -83,9 +83,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
         raise NumericalError("stationary law solve failed; transition table is singular")
     residual = float(np.max(np.abs(pi @ a - pi)))
     if residual > 1e-10 or np.any(pi < -1e-12):
-        raise NumericalError(
-            f"invariant law residual {residual:.3e}; chain may be reducible", residual=residual
-        )
+        raise NumericalError(f"invariant law residual {residual:.3e}; chain may be reducible")
     pi = np.clip(pi, 0.0, None)
     return pi / pi.sum()
 
@@ -618,15 +616,16 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     """Parse a header-plus-integer-rows CSV against an observable scheme.
 
     Columns may appear in any order but must match the scheme names exactly,
-    up to surrounding spaces. Records whose cells are all blank are skipped;
-    every other record needs one cell per column, each read by int(), so
-    surrounding spaces, signs, leading zeros and digit underscores are
-    accepted. Errors name the record (the header is line 1): the first
+    up to surrounding spaces, and one leading byte-order mark (U+FEFF, as
+    "CSV UTF-8" exports write it) is dropped. Records whose cells are all
+    blank are skipped; every other record needs one cell per column, each
+    read by int(), so surrounding spaces, signs, leading zeros and digit
+    underscores are accepted. Errors name the record (the header is line 1): the first
     record that has the wrong number of cells or a cell that is not an
     integer or lies beyond int64. The cells are split by csv.reader and
     converted in one pass over all of them, with no Python code per row.
     """
-    records = list(csv.reader(io.StringIO(text)))
+    records = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
     if not records:
         raise ParseError("empty series file")
     header = [h.strip() for h in records[0]]

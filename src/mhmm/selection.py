@@ -159,21 +159,22 @@ class ModelComparison:
 
     _COLUMNS = ("model", "LRT", "df", "p-value", "par", "loglike", "AIC", "converged")
 
-    def _cells(self):
+    def _cells(self, real: str):
+        """Each row's cells, with real numbers in the format spec real."""
         for row in self.rows:
             yield (
                 row.label,
-                f"{row.statistic:.4f}",
+                format(row.statistic, real),
                 str(row.df),
-                f"{row.p_value:.4f}",
+                format(row.p_value, real),
                 str(row.par),
-                f"{row.log_lik:.4f}",
-                f"{row.aic:.4f}",
+                format(row.log_lik, real),
+                format(row.aic, real),
                 "yes" if row.converged else "no",
             )
 
     def render_text(self) -> str:
-        table = [self._COLUMNS, *self._cells()]
+        table = [self._COLUMNS, *self._cells(".4f")]
         widths = [max(len(r[j]) for r in table) for j in range(len(self._COLUMNS))]
         lines = []
         for i, row in enumerate(table):
@@ -188,21 +189,7 @@ class ModelComparison:
 
     def render_csv(self) -> str:
         lines = ["model,lrt,df,p_value,par,loglike,aic,converged"]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    (
-                        row.label,
-                        f"{row.statistic:.17g}",
-                        str(row.df),
-                        f"{row.p_value:.17g}",
-                        str(row.par),
-                        f"{row.log_lik:.17g}",
-                        f"{row.aic:.17g}",
-                        "yes" if row.converged else "no",
-                    )
-                )
-            )
+        lines += map(",".join, self._cells(".17g"))
         return "\n".join(lines) + "\n"
 
 

@@ -96,9 +96,13 @@ def test_stalled_fit_reports_not_converged(tmp_path, tiny_model_file, monkeypatc
     real = mhmm.fit.expected_counts
 
     def sinking(models, series, needs_counts=None):
+        # the stop rule sees the sunk log-likelihood, as with a real E-step
+        shifts = [1e6 * next(calls) for _ in models]
+        asks = needs_counts and (lambda r, log_lik: needs_counts(r, log_lik - shifts[r]))
+        results = real(models, series, asks)
         return [
-            (counts_trans, counts_emit, log_lik - 1e6 * next(calls))
-            for counts_trans, counts_emit, log_lik in real(models, series, needs_counts)
+            (counts_trans, counts_emit, log_lik - shift)
+            for (counts_trans, counts_emit, log_lik), shift in zip(results, shifts)
         ]
 
     monkeypatch.setattr(mhmm.fit, "expected_counts", sinking)
@@ -272,6 +276,20 @@ def test_compare_requires_two_specs(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:parse:")
 
 
+def test_compare_rejects_repeated_labels_before_reading_data(tmp_path, capsys):
+    # labels are file stems, so a/ng.spec and b/ng.spec would give two rows "ng"
+    argv = ["compare", "--data", "nowhere.csv", "--out", str(tmp_path / "cmp")]
+    for sub in ("a", "b"):
+        (tmp_path / sub).mkdir()
+        argv += ["--spec", str(write_spec(tmp_path / sub, "ng", TINY_NOGRANGER))]
+    rc = main(argv)
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        "error:parse: compare labels must be distinct; 'ng' is repeated\n"
+    )
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_count_params_output(tmp_path, capsys):
     spec = write_spec(tmp_path, "ng", TINY_NOGRANGER)
     rc = main(["count-params", "--spec", str(spec)])
@@ -389,7 +407,7 @@ def test_numeric_failure_exit_code(tmp_path, tiny_model_file, monkeypatch, capsy
     spec_path = write_spec(tmp_path, "tiny", TINY)
 
     def explode(*args, **kwargs):
-        raise NumericalError("every EM restart failed numerically", residual=1.0)
+        raise NumericalError("every EM restart failed numerically")
 
     monkeypatch.setattr(mhmm.fit, "em_fit", explode)
     monkeypatch.setattr("mhmm.modelspec.em_fit", explode)

@@ -153,6 +153,23 @@ def test_statement_validation_and_render():
     assert str(s) == "E[E1](t) _||_ E[E2](t-1) | E[E1,E3](t-1)"
 
 
+# one rendered statement per kind: block letters and time tags of each side
+RENDERED = {
+    "granger": (({"E1"}, {"E1", "E2"}, {"E3"}), "E[E1](t) _||_ E[E1,E2](t-1) | E[E3](t-1)"),
+    "contemporaneous": (
+        ({"E2"}, {"E1", "E3"}, {"E1", "E2", "E3"}), "E[E2](t) _||_ E[E1,E3](t) | E[E1,E2,E3](t-1)"
+    ),
+    "local": (({"F2"}, {"F1", "F3"}, {"E1"}), "F[F2](t) _||_ F[F1,F3](t) | E[E1](t)"),
+    "emission": (({"F1"}, {"E2"}, {"E1", "E3"}), "F[F1](t) _||_ E[E2](t) | E[E1,E3](t)"),
+}
+
+
+@pytest.mark.parametrize("kind", RENDERED)
+def test_statement_renders_each_kind(kind):
+    sides, text = RENDERED[kind]
+    assert IndependenceStatement(kind, *map(frozenset, sides)).render() == text
+
+
 def linked_graph():
     return MixedChainGraph.build(
         latent=("E1", "E2"),

@@ -384,6 +384,7 @@ ACCEPTED_CSV = {
     "quoted cells": ('"F1","F2"\n"1","2"\n12,"1"\n', CSV_ROWS),
     "reordered columns": ("F2,F1\n2,1\n1,12\n", CSV_ROWS),
     "int forms": ("F1,F2\n1_0,+2\n011,1\n", [[10, 2], [11, 1]]),
+    "utf-8 BOM": ("\ufeffF1,F2\r\n1,2\r\n12,1\r\n", CSV_ROWS),
 }
 REJECTED_CSV = {
     "ragged short": ("F1,F2\n1,2\n3\n4,1\n", "line 3: expected 2 cells, got 1"),
