@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,6 +26,19 @@ STOCHASTIC_TOL = 1e-10
 # Bytes of pair posteriors, (n, n) per time step, that the E-step forms at
 # once while it sums its transition counts.
 PAIR_BLOCK_BYTES = 2**20
+# Largest recursion one model may need: b, alpha and beta, 3 T n floats. A
+# longer series or larger latent scheme is refused before anything is
+# allocated, rather than left to exhaust memory.
+RECURSION_ROW_BYTES = 2**30
+# Time blocks of the forward pass (see _time_blocks). A block after the
+# first starts FORWARD_WARMUP steps early from the uniform law; on 20 windows
+# of a T=100k series of the benchmark's generating model the normalized
+# recursion forgot that start bit for bit within 20-33 steps, and a row that
+# has not is rerun. Series shorter than FORWARD_BLOCK_MIN_T run as one
+# block: below it blocking gains little for small stacks and nothing for
+# large ones.
+FORWARD_WARMUP = 64
+FORWARD_BLOCK_MIN_T = 1000
 
 
 @dataclass(frozen=True)
@@ -164,43 +178,149 @@ class MhmmModel:
 # of (R, 1, n) @ (R, n, n) plus a multiply, a last-axis sum and a divide into
 # preallocated buffers, and numpy evaluates each row with the same kernel and
 # in the same order as it would a single model, so a row of the stack is
-# bitwise the result of that model alone.
+# bitwise the result of that model alone. The forward pass also stacks time
+# blocks as rows (_forward), and the same guarantee makes a checked block
+# exact.
 
 
-def _emission_columns(models, series: ObservedSeries) -> np.ndarray:
-    """Per-time emission probabilities of a stack of models, shape (T, R, n)."""
+def _emission_columns(models, series: ObservedSeries, length: int) -> np.ndarray:
+    """Per-time emission probabilities of a stack of models, shape
+    (length, R, n) for length >= T; the rows past T repeat state 0."""
     if any(series.scheme != model.obs_scheme for model in models):
         raise DomainError("series scheme does not match the model's observable scheme")
     emission = np.stack([model.emission for model in models])
-    return emission.transpose(2, 0, 1)[series.state_indices]
+    cells = series.state_indices
+    if length > len(cells):
+        cells = np.concatenate((cells, np.zeros(length - len(cells), cells.dtype)))
+    return np.take(emission.transpose(2, 0, 1), cells, 0)
+
+
+def _time_blocks(T: int, width: int):
+    """(blocks, stride, steps) of the forward pass over T steps of a stack
+    of width floats a step. Block k runs the steps times k * stride + s for
+    0 <= s < steps, the first FORWARD_WARMUP of them warm-up for k >= 1, so
+    each block ends where the next one's warm-up ends; the last one may run
+    up to blocks - 1 steps past T. Blocks are about sqrt(width T) steps
+    long: a wider stack already spreads each step's call overhead over more
+    rows and gains less from more blocks. stride >= FORWARD_WARMUP, so
+    every warm-up step is later overwritten by the block before."""
+    if T >= FORWARD_BLOCK_MIN_T:
+        blocks = (T - FORWARD_WARMUP) // max(FORWARD_WARMUP, math.isqrt(width * T))
+        if blocks > 1:
+            stride = -(-(T - FORWARD_WARMUP) // blocks)
+            return blocks, stride, FORWARD_WARMUP + stride
+    return 1, T, T
 
 
 def _forward(models, series: ObservedSeries):
     """Scaled forward pass of a stack of models.
 
     Returns the emission columns b (T, R, n), the normalized alpha (T, R, n)
-    and the scales (T, R). A row whose recursion underflowed holds
+    and the scales (T, R), each bitwise what one step after the other from
+    the initial law gives. A row whose recursion underflowed holds
     meaningless values from the first t where its scale is not positive;
     _row_log_likelihood reports it.
+
+    Every step is the one kernel of this module. A long series is cut into
+    time blocks (_time_blocks) that advance in lock-step as one stack of
+    (block, model) rows: block 0 from the initial law, every later block
+    FORWARD_WARMUP steps before its range from the uniform law. Block k's
+    range is then exact if its last warm-up state equals, bit for bit, the
+    exact alpha at that time, block k - 1's last one. A row that fails this
+    check is run again step by step from the exact entry until it meets the
+    speculative trajectory (_rerun). NaN never compares equal, so a row that
+    underflows is rerun to the end. The worst case, a model that forgets its
+    start more slowly than the warm-up, costs the speculative pass plus the
+    step loop of that row. Extra memory is O(blocks R n).
+
+    Raises DomainError before allocating when one model's b, alpha and beta
+    would exceed RECURSION_ROW_BYTES.
     """
-    b = _emission_columns(models, series)
-    T, R, n = b.shape
-    initial = np.stack([model.initial for model in models])
+    T, R, n = len(series), len(models), models[0].transition.shape[0]
+    if 3 * T * n * 8 > RECURSION_ROW_BYTES:
+        raise DomainError(
+            f"forward-backward over {T} steps and {n} latent states needs "
+            f"{3 * T * n * 8:,} bytes a model, above the limit of {RECURSION_ROW_BYTES:,}"
+        )
+    blocks, stride, steps = _time_blocks(T, R * n)
+    length = (blocks - 1) * stride + steps
+    b = _emission_columns(models, series, length)
+    start = np.full((blocks, R, 1, n), 1.0 / n)
+    start[0, :, 0] = [model.initial for model in models]
     transition = np.stack([model.transition for model in models])
-    alpha = np.empty((T, R, 1, n))
-    scales = np.empty((T, R, 1, 1))
+    alpha = np.empty((length, R, 1, n))
+    scales = np.empty((length, R, 1, 1))
     b_rows = b[:, :, None, :]
-    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
+
+    def lanes(a):
+        """View (steps, blocks, ...) of a time-major array of the padded
+        length: [s, k] is time k * stride + s. One block is the array."""
+        if blocks == 1:
+            return a
+        step = a.strides[0]
+        return np.lib.stride_tricks.as_strided(
+            a, (steps, blocks) + a.shape[1:], (step, stride * step) + a.strides[1:]
+        )
+
+    lane_alpha, lane_scales, lane_b = lanes(alpha), lanes(scales), lanes(b_rows)
+    warmed = min(FORWARD_WARMUP, steps)
     with np.errstate(divide="ignore", invalid="ignore"):
-        multiply(initial[:, None, :], b_rows[0], alpha[0])
-        add(alpha[0], -1, None, scales[0], True)
-        divide(alpha[0], scales[0], alpha[0])
-        for prev, cur, b_t, scale in zip(alpha, alpha[1:], b_rows[1:], scales[1:]):
-            matmul(prev, transition, cur)
-            multiply(cur, b_t, cur)
-            add(cur, -1, None, scale, True)
-            divide(cur, scale, cur)
-    return b, alpha.reshape(T, R, n), scales.reshape(T, R)
+        np.multiply(start.reshape(lane_b[0].shape), lane_b[0], lane_alpha[0])
+        np.add.reduce(lane_alpha[0], -1, None, lane_scales[0], True)
+        np.divide(lane_alpha[0], lane_scales[0], lane_alpha[0])
+        _steps(transition, lane_alpha, lane_b, lane_scales, 1, warmed)
+        # block k's last warm-up state, which block k - 1 overwrites later
+        entries = np.arange(1, blocks) * stride + FORWARD_WARMUP
+        guess = alpha[entries - 1]
+        _steps(transition, lane_alpha, lane_b, lane_scales, warmed, steps)
+        missed = ~(guess == alpha[entries - 1]).all(axis=(2, 3))
+        for r in range(R):
+            exact_to = 0
+            for entry in entries[missed[:, r]].tolist():
+                if entry > exact_to:
+                    exact_to = _rerun(alpha, scales, b_rows, transition, r, entry, T)
+    return b[:T], alpha[:T].reshape(T, R, n), scales[:T].reshape(T, R)
+
+
+def _steps(transition, alpha, b, scales, lo: int, hi: int) -> None:
+    """The forward kernel for times lo..hi - 1 of time-major arrays:
+    alpha[t] = normalize((alpha[t - 1] @ transition) * b[t]), with the
+    scale into scales[t]. The product is formed in a contiguous buffer.
+    Each row of a stack is bitwise the row alone."""
+    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
+    cur = np.empty(alpha.shape[1:])
+    prevs = alpha[lo - 1 : hi - 1]
+    for prev, out, b_t, scale in zip(prevs, alpha[lo:hi], b[lo:hi], scales[lo:hi]):
+        matmul(prev, transition, cur)
+        multiply(cur, b_t, cur)
+        add(cur, -1, None, scale, True)
+        divide(cur, scale, out)
+
+
+def _rerun(alpha, scales, b_rows, transition, r, t, T) -> int:
+    """Step row r of the forward pass from the exact alpha[t - 1] until the
+    first time whose recomputed alpha equals the stored one, or T; writes
+    the exact alpha and scales before that time and the scale at it, and
+    returns it. From there on the stored values are exact, since the same
+    state and the same kernel give the same bits."""
+    chunk = FORWARD_WARMUP
+    trail = np.empty((chunk + 1, 1, 1, alpha.shape[-1]))
+    trail_scales = np.empty((chunk + 1, 1, 1, 1))
+    trail[0] = alpha[t - 1, r]
+    transition = transition[r : r + 1]
+    while t < T:
+        m = min(chunk, T - t)
+        _steps(transition, trail, b_rows[t - 1 : t + m, r : r + 1], trail_scales, 1, m + 1)
+        same = (trail[1 : m + 1] == alpha[t : t + m, r : r + 1]).all(axis=(1, 2, 3))
+        met = int(same.argmax()) if same.any() else m
+        alpha[t : t + met, r : r + 1] = trail[1 : met + 1]
+        rescaled = min(met + 1, m)
+        scales[t : t + rescaled, r : r + 1] = trail_scales[1 : rescaled + 1]
+        if met < m:
+            return t + met
+        t += m
+        trail[0] = trail[m]
+    return T
 
 
 def _backward(models, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
@@ -277,7 +397,8 @@ def _transition_counts(alpha, beta, scales, b, transition) -> np.ndarray:
 
 
 def log_likelihood(model: MhmmModel, series: ObservedSeries) -> float:
-    """Log-likelihood by the scaled forward recursion."""
+    """Log-likelihood by the scaled forward recursion, time-blocked and
+    bitwise the step loop's (see _forward)."""
     _, _, scales = _forward([model], series)
     return _row_log_likelihood(scales[:, 0])
 
@@ -308,6 +429,10 @@ def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
     given, is asked right after the forward pass whether a row's counts are
     wanted; the rows it declines get (None, None, log-likelihood) and no
     backward pass. Each row equals the single-model recursion bitwise.
+    The forward pass runs in time blocks checked bit for bit against the
+    exact boundaries (_forward); the backward pass is a step loop, since
+    the scaled beta does not forget its start bit for bit. Emission counts
+    are one bincount per row.
 
     Working set: b, alpha and beta of the stack (3 T n floats a row), then,
     one row at a time, gamma (T n floats) and one block of pair posteriors
@@ -334,8 +459,10 @@ def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
         counts_trans = _transition_counts(
             alpha[:, r], beta[:, k], scales[:, r], b[:, r], model.transition
         )
-        counts_emit = np.zeros(model.emission.shape)
-        np.add.at(counts_emit.T, f_idx, _state_posteriors(alpha[:, r], beta[:, k]))
+        # bincount sums each category's weights in time order, as add.at did
+        gamma = _state_posteriors(alpha[:, r], beta[:, k])
+        n_obs = model.emission.shape[1]
+        counts_emit = np.array([np.bincount(f_idx, column, n_obs) for column in gamma.T])
         out[r] = (counts_trans, counts_emit, out[r][2])
     return out
 
@@ -345,7 +472,7 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
 
     Returns a (T, r) array of 1-based latent categories.
     """
-    b = _emission_columns([model], series)[:, 0]
+    b = _emission_columns([model], series, len(series))[:, 0]
     T, n = b.shape
     with np.errstate(divide="ignore"):
         log_a = np.log(model.transition)

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from mhmm import BASELINE, MhmmModel, VariableScheme
+import mhmm.model
+from mhmm import BASELINE, MhmmModel, NumericalError, VariableScheme
 from mhmm.interactions import _jacobian_rows
 
 
@@ -37,6 +38,55 @@ def path_sum_log_likelihood(model, series) -> float:
             p *= model.transition[path[t - 1], path[t]] * model.emission[path[t], obs[t]]
         total += p
     return math.log(total)
+
+
+def stepwise_forward(models, series):
+    """Scaled forward pass of a stack of models, one time step after the
+    other over the whole series: (b, alpha, scales) as model._forward
+    returns them."""
+    emission = np.stack([model.emission for model in models])
+    b = emission.transpose(2, 0, 1)[series.state_indices]
+    T, R, n = b.shape
+    initial = np.stack([model.initial for model in models])
+    transition = np.stack([model.transition for model in models])
+    alpha = np.empty((T, R, 1, n))
+    scales = np.empty((T, R, 1, 1))
+    b_rows = b[:, :, None, :]
+    matmul, multiply, divide, add = np.matmul, np.multiply, np.divide, np.add.reduce
+    with np.errstate(divide="ignore", invalid="ignore"):
+        multiply(initial[:, None, :], b_rows[0], alpha[0])
+        add(alpha[0], -1, None, scales[0], True)
+        divide(alpha[0], scales[0], alpha[0])
+        for prev, cur, b_t, scale in zip(alpha, alpha[1:], b_rows[1:], scales[1:]):
+            matmul(prev, transition, cur)
+            multiply(cur, b_t, cur)
+            add(cur, -1, None, scale, True)
+            divide(cur, scale, cur)
+    return b, alpha.reshape(T, R, n), scales.reshape(T, R)
+
+
+def stepwise_counts(models, series):
+    """model.expected_counts of a stack, from stepwise_forward, with the
+    emission counts summed by np.add.at: per model (transition counts,
+    emission counts, log-likelihood), or the NumericalError of a row whose
+    recursion underflowed."""
+    b, alpha, scales = stepwise_forward(models, series)
+    beta = mhmm.model._backward(models, b, scales)
+    out = []
+    for r, model in enumerate(models):
+        try:
+            log_lik = mhmm.model._row_log_likelihood(scales[:, r])
+        except NumericalError as exc:
+            out.append(exc)
+            continue
+        counts_trans = mhmm.model._transition_counts(
+            alpha[:, r], beta[:, r], scales[:, r], b[:, r], model.transition
+        )
+        counts_emit = np.zeros(model.emission.shape)
+        gamma = mhmm.model._state_posteriors(alpha[:, r], beta[:, r])
+        np.add.at(counts_emit.T, series.state_indices, gamma)
+        out.append((counts_trans, counts_emit, log_lik))
+    return out
 
 
 def brute_posteriors(model, series):

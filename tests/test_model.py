@@ -33,6 +33,8 @@ from helpers import (
     random_model,
     random_rows,
     random_scheme,
+    stepwise_counts,
+    stepwise_forward,
 )
 
 LAT1 = VariableScheme.of(("E1", 2))
@@ -216,6 +218,111 @@ def test_batched_e_step_isolates_an_underflowing_row(rng):
     assert str(rows[1]) == str(single.value)
     for r in (0, 2):
         assert_same_counts(rows[r], expected_counts([models[r]], series)[0])
+
+
+LATENT_2X2 = VariableScheme.of(("E1", 2), ("E2", 2))
+OBSERVED_3X2 = VariableScheme.of(("F1", 3), ("F2", 2))
+
+
+def slow_forgetting_model(rng, latent, observed):
+    """Transition diagonal 1 - 1e-4 and nearly flat emissions: the forward
+    recursion forgets its start far more slowly than the warm-up of a time
+    block."""
+    n = latent.n_states
+    transition = np.full((n, n), 1e-4 / (n - 1))
+    np.fill_diagonal(transition, 1 - 1e-4)
+    emission = 1 + 0.01 * rng.uniform(-1, 1, (n, observed.n_states))
+    emission /= emission.sum(axis=1, keepdims=True)
+    return MhmmModel.from_tables(latent, observed, transition, emission)
+
+
+def padding(length, width):
+    """Steps the last time block of the forward pass runs past the series."""
+    blocks, stride, steps = mhmm.model._time_blocks(length, width)
+    return (blocks - 1) * stride + steps - length
+
+
+def lengths_around_blocks(width):
+    """Just below and at the blocking threshold, then a length whose blocks
+    end exactly at T and the lengths one step either side of it, whose last
+    block is short."""
+    threshold = mhmm.model.FORWARD_BLOCK_MIN_T
+    full = next(t for t in range(threshold + 500, threshold + 2000) if padding(t, width) == 0)
+    assert padding(full - 1, width) > 0 and padding(full + 1, width) > 0
+    return threshold - 1, threshold, full - 1, full, full + 1
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["R1", "R3-with-slow-row"])
+def test_blocked_forward_equals_the_step_loop(mixed, monkeypatch):
+    """_forward, log_likelihood and expected_counts are bitwise the step
+    loop's around the blocking threshold and the block edges; in the mixed
+    stack the slow row misses the check and is rerun."""
+    rng = np.random.default_rng(11)
+    fast = [random_model(rng, LATENT_2X2, OBSERVED_3X2) for _ in range(2)]
+    slow = slow_forgetting_model(rng, LATENT_2X2, OBSERVED_3X2)
+    stack = [fast[0], slow, fast[1]] if mixed else fast[:1]
+    reruns = []
+
+    def spy(alpha, scales, b_rows, transition, r, t, T):
+        reruns.append(r)
+        return rerun(alpha, scales, b_rows, transition, r, t, T)
+
+    rerun = mhmm.model._rerun
+    monkeypatch.setattr(mhmm.model, "_rerun", spy)
+    lengths = lengths_around_blocks(len(stack) * LATENT_2X2.n_states)
+    for length in lengths:
+        _, series = simulate(fast[0], length, seed=length)
+        got = mhmm.model._forward(stack, series)
+        for got_part, want_part in zip(got, stepwise_forward(stack, series)):
+            assert np.array_equal(got_part, want_part)
+        want = stepwise_counts(stack, series)
+        for got_row, want_row in zip(expected_counts(stack, series), want):
+            assert_same_counts(got_row, want_row)
+        for model, want_row in zip(stack, want):
+            assert log_likelihood(model, series) == want_row[2]
+    assert (1 in reruns) == mixed
+
+
+def test_blocked_forward_reports_underflow_where_the_step_loop_does():
+    """Row 0 cannot emit an observation deep in a block, row 2 one inside a
+    later block's warm-up window; both fail at the step loop's time, and
+    row 1 keeps its counts bitwise."""
+    rng = np.random.default_rng(12)
+    observed = VariableScheme.of(("F1", 3))
+    models = [random_model(rng, LATENT_2X2, observed) for _ in range(3)]
+    for r, category in ((0, 1), (2, 2)):
+        emission = models[r].emission.copy()
+        emission[:, category] = 0.0
+        emission /= emission.sum(axis=1, keepdims=True)
+        models[r] = MhmmModel.from_tables(LATENT_2X2, observed, models[r].transition, emission)
+    length = 3 * mhmm.model.FORWARD_BLOCK_MIN_T
+    blocks, stride, _ = mhmm.model._time_blocks(length, 3 * LATENT_2X2.n_states)
+    assert blocks >= 3
+    warmup = mhmm.model.FORWARD_WARMUP
+    deep = stride + warmup + stride // 2
+    in_warmup = 2 * stride + warmup // 2
+    data = np.ones((length, 1), dtype=int)
+    data[deep], data[in_warmup] = 2, 3
+    series = ObservedSeries(observed, data)
+    rows = expected_counts(models, series)
+    want = stepwise_counts(models, series)
+    for r, t in ((0, deep), (2, in_warmup)):
+        assert str(rows[r]) == str(want[r]) == f"forward recursion underflowed at time {t}"
+        with pytest.raises(NumericalError, match=f"at time {t}$"):
+            log_likelihood(models[r], series)
+    assert_same_counts(rows[1], want[1])
+    assert_same_counts(rows[1], expected_counts([models[1]], series)[0])
+
+
+def test_recursion_beyond_the_size_limit_is_refused(monkeypatch):
+    model = two_state_model()
+    series = series_of(OBS1, [[1], [2]] * 50)
+    # b, alpha and beta of one model: 3 T n floats
+    monkeypatch.setattr(mhmm.model, "RECURSION_ROW_BYTES", 3 * 100 * 2 * 8)
+    log_likelihood(model, series)
+    monkeypatch.setattr(mhmm.model, "RECURSION_ROW_BYTES", 3 * 100 * 2 * 8 - 1)
+    with pytest.raises(DomainError, match="needs 4,800 bytes a model"):
+        log_likelihood(model, series)
 
 
 def test_state_indices_follow_scheme_enumeration(rng):
