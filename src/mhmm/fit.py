@@ -79,7 +79,7 @@ from .interactions import (
     interactions_from_table,
     table_from_interactions,
 )
-from .model import MhmmModel, ObservedSeries, expected_counts
+from .model import MhmmModel, ObservedSeries, expected_counts, recursion_bytes
 from .schemes import VariableScheme
 
 MSTEP_GTOL = 1e-7
@@ -88,8 +88,8 @@ MSTEP_MAX_ITER = 200
 MSTEP_MAX_HALVINGS = 25
 
 # Bytes of the forward-backward buffers that one stacked E-step may hold:
-# b, alpha and beta, at most 3 T n floats a row (rows whose counts are not
-# wanted get no beta). Beyond them an E-step holds, for one row at a time,
+# b, alpha and beta, at most model.recursion_bytes a row (rows whose counts
+# are not wanted get no beta). Beyond them an E-step holds, for one row at a time,
 # its gamma (T n floats) and one block of pair posteriors of at most
 # model.PAIR_BLOCK_BYTES. A stack of rows is cut into chunks of this size,
 # but never below the largest restart count among its problems, since one
@@ -638,13 +638,14 @@ def _fit_result(runs: list[_Restart], series: ObservedSeries) -> FitResult:
 
 def _stack_rows(problems: list[_Problem], length: int) -> dict:
     """Rows per stacked E-step for each latent scheme: as many as
-    ESTEP_STACK_BYTES holds at 3 T n floats a row (b, alpha, beta), and at
-    least the scheme's largest restart count. The E-step's per-row gamma and
+    ESTEP_STACK_BYTES holds at model.recursion_bytes a row (b, alpha, beta),
+    and at least the scheme's largest restart count; model.RECURSION_BYTES
+    refuses a stack that would still be too large. The E-step's per-row gamma and
     pair block come on top, once per stack (see ESTEP_STACK_BYTES)."""
     rows = {}
     for problem in problems:
         scheme = problem.latent_scheme
-        in_budget = ESTEP_STACK_BYTES // (3 * length * scheme.n_states * 8)
+        in_budget = ESTEP_STACK_BYTES // recursion_bytes(length, scheme.n_states)
         rows[scheme] = max(rows.get(scheme, in_budget), problem.options.restarts)
     return rows
 

@@ -26,10 +26,13 @@ STOCHASTIC_TOL = 1e-10
 # Bytes of pair posteriors, (n, n) per time step, that the E-step forms at
 # once while it sums its transition counts.
 PAIR_BLOCK_BYTES = 2**20
-# Largest recursion one model may need: b, alpha and beta, 3 T n floats. A
-# longer series or larger latent scheme is refused before anything is
-# allocated, rather than left to exhaust memory.
-RECURSION_ROW_BYTES = 2**30
+# Largest forward-backward working set of a stack of models
+# (recursion_bytes). A longer series, larger latent scheme or wider stack is
+# refused before anything is allocated, rather than left to exhaust memory.
+# At T=1e6, n=4 and one model (96 MB, a traced E-step peak of 144 MB with
+# gamma and temporaries) an E-step took 5.1 s on a 2-CPU VM. At this limit,
+# 11 times that size, each E-step of a fit would take about a minute.
+RECURSION_BYTES = 2**30
 # Time blocks of the forward pass (see _time_blocks). A block after the
 # first starts FORWARD_WARMUP steps early from the uniform law; on 20 windows
 # of a T=100k series of the benchmark's generating model the normalized
@@ -195,6 +198,14 @@ def _emission_columns(models, series: ObservedSeries, length: int) -> np.ndarray
     return np.take(emission.transpose(2, 0, 1), cells, 0)
 
 
+def recursion_bytes(T: int, n: int, rows: int = 1) -> int:
+    """Bytes of b, alpha and beta of a forward-backward over T steps for a
+    stack of rows models of n latent states: 3 T n floats a row. The steps
+    the forward pass pads onto its last time block, fewer than its blocks,
+    are left out."""
+    return 3 * T * n * rows * 8
+
+
 def _time_blocks(T: int, width: int):
     """(blocks, stride, steps) of the forward pass over T steps of a stack
     of width floats a step. Block k runs the steps times k * stride + s for
@@ -227,20 +238,22 @@ def _forward(models, series: ObservedSeries):
     FORWARD_WARMUP steps before its range from the uniform law. Block k's
     range is then exact if its last warm-up state equals, bit for bit, the
     exact alpha at that time, block k - 1's last one. A row that fails this
-    check is run again step by step from the exact entry until it meets the
-    speculative trajectory (_rerun). NaN never compares equal, so a row that
-    underflows is rerun to the end. The worst case, a model that forgets its
-    start more slowly than the warm-up, costs the speculative pass plus the
-    step loop of that row. Extra memory is O(blocks R n).
+    check is run again step by step from its first missed entry to T. NaN
+    never compares equal, so a row that underflows is rerun to the end. The
+    worst case, a model that forgets its start more slowly than the warm-up,
+    costs the speculative pass plus the step loop of that row. Extra memory
+    is O(blocks R n).
 
-    Raises DomainError before allocating when one model's b, alpha and beta
-    would exceed RECURSION_ROW_BYTES.
+    Raises DomainError before allocating when the stack's b, alpha and beta
+    would exceed RECURSION_BYTES; log_likelihood, which needs no beta, is
+    held to the same limit as the forward-backward of its series.
     """
     T, R, n = len(series), len(models), models[0].transition.shape[0]
-    if 3 * T * n * 8 > RECURSION_ROW_BYTES:
+    size = recursion_bytes(T, n, R)
+    if size > RECURSION_BYTES:
         raise DomainError(
-            f"forward-backward over {T} steps and {n} latent states needs "
-            f"{3 * T * n * 8:,} bytes a model, above the limit of {RECURSION_ROW_BYTES:,}"
+            f"forward-backward of {R} model(s) over {T} steps and {n} latent states "
+            f"needs {size:,} bytes, above the limit of {RECURSION_BYTES:,}"
         )
     blocks, stride, steps = _time_blocks(T, R * n)
     length = (blocks - 1) * stride + steps
@@ -274,11 +287,10 @@ def _forward(models, series: ObservedSeries):
         guess = alpha[entries - 1]
         _steps(transition, lane_alpha, lane_b, lane_scales, warmed, steps)
         missed = ~(guess == alpha[entries - 1]).all(axis=(2, 3))
-        for r in range(R):
-            exact_to = 0
-            for entry in entries[missed[:, r]].tolist():
-                if entry > exact_to:
-                    exact_to = _rerun(alpha, scales, b_rows, transition, r, entry, T)
+        for r in np.flatnonzero(missed.any(axis=0)).tolist():
+            entry = int(entries[missed[:, r].argmax()])
+            rows = slice(r, r + 1)
+            _steps(transition[rows], alpha[:, rows], b_rows[:, rows], scales[:, rows], entry, T)
     return b[:T], alpha[:T].reshape(T, R, n), scales[:T].reshape(T, R)
 
 
@@ -295,32 +307,6 @@ def _steps(transition, alpha, b, scales, lo: int, hi: int) -> None:
         multiply(cur, b_t, cur)
         add(cur, -1, None, scale, True)
         divide(cur, scale, out)
-
-
-def _rerun(alpha, scales, b_rows, transition, r, t, T) -> int:
-    """Step row r of the forward pass from the exact alpha[t - 1] until the
-    first time whose recomputed alpha equals the stored one, or T; writes
-    the exact alpha and scales before that time and the scale at it, and
-    returns it. From there on the stored values are exact, since the same
-    state and the same kernel give the same bits."""
-    chunk = FORWARD_WARMUP
-    trail = np.empty((chunk + 1, 1, 1, alpha.shape[-1]))
-    trail_scales = np.empty((chunk + 1, 1, 1, 1))
-    trail[0] = alpha[t - 1, r]
-    transition = transition[r : r + 1]
-    while t < T:
-        m = min(chunk, T - t)
-        _steps(transition, trail, b_rows[t - 1 : t + m, r : r + 1], trail_scales, 1, m + 1)
-        same = (trail[1 : m + 1] == alpha[t : t + m, r : r + 1]).all(axis=(1, 2, 3))
-        met = int(same.argmax()) if same.any() else m
-        alpha[t : t + met, r : r + 1] = trail[1 : met + 1]
-        rescaled = min(met + 1, m)
-        scales[t : t + rescaled, r : r + 1] = trail_scales[1 : rescaled + 1]
-        if met < m:
-            return t + met
-        t += m
-        trail[0] = trail[m]
-    return T
 
 
 def _backward(models, b: np.ndarray, scales: np.ndarray) -> np.ndarray:

@@ -125,14 +125,14 @@ def test_fit_refuses_a_recursion_beyond_the_size_limit(
 ):
     assert main(["simulate", "--spec", str(tiny_model_file), "--length", "250",
                  "--out", str(tmp_path)]) == 0
-    monkeypatch.setattr(mhmm.model, "RECURSION_ROW_BYTES", 1000)
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 1000)
     spec_path = write_spec(tmp_path, "tiny", TINY)
     fit_dir = tmp_path / "fit"
     rc = main(["fit", "--spec", str(spec_path), "--data", str(tmp_path / "series.csv"),
                "--out", str(fit_dir)])
     assert rc == 2
     err = capsys.readouterr().err
-    # b, alpha and beta of one model: 3 * 250 steps * 2 states * 8 bytes
+    # b, alpha and beta of the one restart: 3 * 250 steps * 2 states * 8 bytes
     assert err.startswith("error:domain:") and "needs 12,000 bytes" in err
     assert not (fit_dir / "tiny.model").exists()
 

@@ -263,12 +263,17 @@ def test_blocked_forward_equals_the_step_loop(mixed, monkeypatch):
     stack = [fast[0], slow, fast[1]] if mixed else fast[:1]
     reruns = []
 
-    def spy(alpha, scales, b_rows, transition, r, t, T):
-        reruns.append(r)
-        return rerun(alpha, scales, b_rows, transition, r, t, T)
+    def spy(transition, alpha, b, scales, lo, hi):
+        # the lock-step pass starts at times 1 and FORWARD_WARMUP; a rerun
+        # of one row starts at a later block's entry
+        if lo > mhmm.model.FORWARD_WARMUP:
+            assert len(transition) == 1
+            rows = [r for r, m in enumerate(stack) if np.array_equal(m.transition, transition[0])]
+            reruns.extend(rows)
+        steps(transition, alpha, b, scales, lo, hi)
 
-    rerun = mhmm.model._rerun
-    monkeypatch.setattr(mhmm.model, "_rerun", spy)
+    steps = mhmm.model._steps
+    monkeypatch.setattr(mhmm.model, "_steps", spy)
     lengths = lengths_around_blocks(len(stack) * LATENT_2X2.n_states)
     for length in lengths:
         _, series = simulate(fast[0], length, seed=length)
@@ -280,7 +285,7 @@ def test_blocked_forward_equals_the_step_loop(mixed, monkeypatch):
             assert_same_counts(got_row, want_row)
         for model, want_row in zip(stack, want):
             assert log_likelihood(model, series) == want_row[2]
-    assert (1 in reruns) == mixed
+    assert set(reruns) == ({1} if mixed else set())
 
 
 def test_blocked_forward_reports_underflow_where_the_step_loop_does():
@@ -315,13 +320,17 @@ def test_blocked_forward_reports_underflow_where_the_step_loop_does():
 
 
 def test_recursion_beyond_the_size_limit_is_refused(monkeypatch):
+    """The limit holds b, alpha and beta of the whole stack, 3 T n floats
+    a model."""
     model = two_state_model()
     series = series_of(OBS1, [[1], [2]] * 50)
-    # b, alpha and beta of one model: 3 T n floats
-    monkeypatch.setattr(mhmm.model, "RECURSION_ROW_BYTES", 3 * 100 * 2 * 8)
+    assert mhmm.model.recursion_bytes(100, 2, 3) == 3 * 100 * 2 * 3 * 8
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 3 * 100 * 2 * 8)
     log_likelihood(model, series)
-    monkeypatch.setattr(mhmm.model, "RECURSION_ROW_BYTES", 3 * 100 * 2 * 8 - 1)
-    with pytest.raises(DomainError, match="needs 4,800 bytes a model"):
+    with pytest.raises(DomainError, match="of 2 model.s. over 100 steps .* needs 9,600 bytes"):
+        expected_counts([model, model], series)
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 3 * 100 * 2 * 8 - 1)
+    with pytest.raises(DomainError, match="needs 4,800 bytes, above the limit of 4,799$"):
         log_likelihood(model, series)
 
 
