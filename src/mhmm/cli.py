@@ -2,10 +2,11 @@
 
 Commands: fit, simulate, compare, count-params, independencies, equivalent.
 Every failure prints a single machine-parsable line `error:<category>: ...`
-on stderr; exit status is 0 on success, 2 on domain/parse errors, 3 on
-numerical failures. Reports print with fixed 4-decimal precision; CSV
-artifacts keep full precision. All randomness flows from the seed option
-(default 0), so identical inputs give byte-identical outputs. compare fits
+on stderr; exit status is 0 on success, 2 on domain/parse errors and
+exhausted memory, 3 on numerical failures. Reports print with fixed
+4-decimal precision; CSV artifacts keep full precision. All randomness
+flows from the seed option (default 0), so identical inputs give
+byte-identical outputs. compare fits
 all its specs in one lock-step EM (modelspec.fit_specs); its tables and its
 errors are those of fitting the specs one after another.
 """
@@ -233,6 +234,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error:domain: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error:capacity: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

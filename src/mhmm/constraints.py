@@ -21,7 +21,6 @@ keeps reported degrees of freedom additive across hypothesis families.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +28,7 @@ import numpy as np
 from .errors import DomainError
 from .graphs import MixedChainGraph
 from .interactions import InteractionIndex, InteractionSpace
-from .schemes import VariableScheme, _subsets
+from .schemes import VariableScheme
 
 IA_FAMILY = "invariant_association"
 
@@ -94,26 +93,12 @@ class ConstraintSet:
 
 
 def _zero_blocks(cs, space, family, zeroed):
-    """Zero every category cell of each (response margin P, conditioning
-    margin Q) block of a space for which zeroed(P, Q) holds."""
-    rc = space.response.counts
-    cc = space.condition.counts
-    for P in space.margins:
-        for Q in _subsets(range(space.condition.size)):
-            if not zeroed(P, Q):
-                continue
-            for fcats in itertools.product(*[range(2, rc[i] + 1) for i in P]):
-                for ecats in itertools.product(*[range(2, cc[i] + 1) for i in Q]):
-                    cs.add(
-                        InteractionIndex(
-                            kind=space.kind,
-                            response_vars=space.response.names_at(P),
-                            cond_vars=space.condition.names_at(Q),
-                            response_cats=fcats,
-                            cond_cats=ecats,
-                        ),
-                        family,
-                    )
+    """Zero every coefficient of a space whose (response margin P,
+    conditioning margin Q) block satisfies zeroed(P, Q)."""
+    for row, (Q, _) in enumerate(space.combos):
+        for col, (P, _) in enumerate(space.columns):
+            if zeroed(P, Q):
+                cs.add(space.index_at(row, col), family)
 
 
 def _space(latent_scheme, obs_scheme, target):

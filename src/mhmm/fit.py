@@ -299,8 +299,6 @@ def constrained_m_step(
     counts: np.ndarray,
     mask: np.ndarray,
     warm: np.ndarray | None = None,
-    gtol: float = MSTEP_GTOL,
-    max_iter: int = MSTEP_MAX_ITER,
 ):
     """Maximize sum(counts * log p) subject to zeroed interaction coordinates.
 
@@ -311,14 +309,16 @@ def constrained_m_step(
     factorization succeeds) and the ridged expected information otherwise.
     When that step's line search fails, one gradient step is tried from the
     same point; when that fails too, the iteration stops, since retrying
-    from an unchanged point would repeat the same computation. Raises
-    NumericalError unless the score norm in the free coordinates ends below
-    max(gtol, MSTEP_GTOL_ACCEPT). This is batched_m_step on one table.
+    from an unchanged point would repeat the same computation. The
+    iteration also stops once the score norm in the free coordinates falls
+    below MSTEP_GTOL, or after MSTEP_MAX_ITER iterations; both are read at
+    call time. Raises NumericalError unless that norm ends below
+    max(MSTEP_GTOL, MSTEP_GTOL_ACCEPT). This is batched_m_step on one table.
     """
     counts = np.asarray(counts, dtype=float)
     if warm is not None:
         warm = np.asarray(warm, dtype=float)[None]
-    (result,) = batched_m_step(space, counts[None], mask, warm, gtol, max_iter)
+    (result,) = batched_m_step(space, counts[None], mask, warm)
     if isinstance(result, NumericalError):
         raise result
     return result
@@ -329,8 +329,6 @@ def batched_m_step(
     counts: np.ndarray,
     mask: np.ndarray,
     warm: np.ndarray | None = None,
-    gtol: float = MSTEP_GTOL,
-    max_iter: int = MSTEP_MAX_ITER,
 ) -> list:
     """constrained_m_step on a stack of count tables that share a space and mask.
 
@@ -341,9 +339,9 @@ def batched_m_step(
     expected information, solve, line search, exit) is taken per row.
     Returns, per row, (theta_values, probs) or the NumericalError that
     constrained_m_step raises on that table alone; each row equals that lone
-    call bitwise. Rows are solved in chunks whose k x k matrices fit in
-    ESTEP_STACK_BYTES, never below one row. Raises DomainError on invalid
-    counts.
+    call bitwise, under the same MSTEP_GTOL and MSTEP_MAX_ITER. Rows are
+    solved in chunks whose k x k matrices fit in ESTEP_STACK_BYTES, never
+    below one row. Raises DomainError on invalid counts.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3:
@@ -360,7 +358,7 @@ def batched_m_step(
     out = []
     for lo in range(0, rows, size):
         chunk = np.arange(lo, min(lo + size, rows))
-        out += _newton_rows(problem.take(chunk), theta[chunk], gtol, max_iter)
+        out += _newton_rows(problem.take(chunk), theta[chunk])
     return out
 
 
@@ -379,7 +377,7 @@ class _Iterates:
         self.theta[rows], self.x[rows], self.probs[rows], self.value[rows] = theta, x, probs, value
 
 
-def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_iter: int) -> list:
+def _newton_rows(problem: _MStepProblem, theta: np.ndarray) -> list:
     """The iteration of constrained_m_step on every row of problem in
     lock-step; each iteration scores its running rows once."""
     rows, n_cond, m = theta.shape
@@ -394,15 +392,15 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_ite
     it = _Iterates(theta, x, probs, value, np.full(rows, np.inf))
     free = problem.free
     running = alive if free.any() else alive[:0]
-    for iteration in range(max_iter + 1):
+    for iteration in range(MSTEP_MAX_ITER + 1):
         if running.size == 0:
             break
         part = problem.take(running)
         score = part.score(it.probs[running])
         g_free = score[0][:, free]
         it.gnorm[running] = np.max(np.abs(g_free), axis=1)
-        stepping = ~(it.gnorm[running] < gtol)
-        if iteration == max_iter or not stepping.any():
+        stepping = ~(it.gnorm[running] < MSTEP_GTOL)
+        if iteration == MSTEP_MAX_ITER or not stepping.any():
             break
         if not stepping.all():
             running, g_free = running[stepping], g_free[stepping]
@@ -414,7 +412,7 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray, gtol: float, max_ite
         if retry.any():
             moved[retry] = _line_search(problem, it, running[retry], gradient[retry])
         running = running[moved]
-    accept = max(gtol, MSTEP_GTOL_ACCEPT)
+    accept = max(MSTEP_GTOL, MSTEP_GTOL_ACCEPT)
     floored = _floored(it.probs[alive])
     for r, probs_r in zip(alive, floored):
         gnorm = float(it.gnorm[r])

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError
+from .errors import DomainError, NumericalError, ParseError
 from .schemes import BASELINE, VariableScheme, _subsets
 
 NEWTON_TOL = 1e-10
@@ -545,6 +545,11 @@ def _fmt_group(names) -> str:
     return ",".join(str(n) for n in names) if names else "-"
 
 
+def _parse_group(token: str) -> tuple[str, ...]:
+    """The names of a comma-joined list, '-' for the empty one."""
+    return () if token == "-" else tuple(token.split(","))
+
+
 def serialize_interactions(tables) -> str:
     """Flat text form of one or more coefficient tables, deterministic order."""
     lines = []
@@ -564,37 +569,40 @@ def serialize_interactions(tables) -> str:
 
 
 def parse_interaction_lines(text: str):
-    """Yield (InteractionIndex, value) pairs from the flat text form."""
+    """Yield (InteractionIndex, value) pairs from the flat text form; a
+    malformed line raises ParseError naming it."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         parts = line.split()
         if len(parts) != 6:
-            raise DomainError(f"line {lineno}: expected 6 fields, got {len(parts)}")
+            raise ParseError(f"line {lineno}: expected 6 fields, got {len(parts)}")
         kind, pvars, qvars, fcats, ecats, value = parts
         if kind not in ("THETA", "DELTA"):
-            raise DomainError(f"line {lineno}: unknown table tag {kind!r}")
-
-        def group(s):
-            return tuple() if s == "-" else tuple(s.split(","))
+            raise ParseError(f"line {lineno}: unknown table tag {kind!r}")
 
         def cats(s):
             try:
-                return tuple() if s == "-" else tuple(int(v) for v in s.split(","))
+                return tuple(int(v) for v in _parse_group(s))
             except ValueError:
-                raise DomainError(f"line {lineno}: bad category list {s!r}")
+                raise ParseError(f"line {lineno}: bad category list {s!r}")
 
         try:
             number = float(value)
         except ValueError:
-            raise DomainError(f"line {lineno}: bad value {value!r}")
+            raise ParseError(f"line {lineno}: bad value {value!r}")
         if not math.isfinite(number):
-            raise DomainError(f"line {lineno}: value {value!r} is not finite")
-        yield InteractionIndex(
-            kind=kind.lower(),
-            response_vars=group(pvars),
-            cond_vars=group(qvars),
-            response_cats=cats(fcats),
-            cond_cats=cats(ecats),
-        ), number
+            raise ParseError(f"line {lineno}: value {value!r} is not finite")
+        response_cats, cond_cats = cats(fcats), cats(ecats)
+        try:
+            index = InteractionIndex(
+                kind=kind.lower(),
+                response_vars=_parse_group(pvars),
+                cond_vars=_parse_group(qvars),
+                response_cats=response_cats,
+                cond_cats=cond_cats,
+            )
+        except DomainError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+        yield index, number

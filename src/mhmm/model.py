@@ -548,7 +548,6 @@ def marginal_model(
     latent_subset,
     obs_subset,
     check: bool = True,
-    tol: float = 1e-8,
 ) -> MhmmModel:
     """Model for a sub-process of latent and observable variables.
 
@@ -556,7 +555,7 @@ def marginal_model(
     latent variables with stationary weights. The result reproduces the law
     of the sub-process exactly when the retained latent margin evolves
     autonomously and the retained observables depend on it alone; with
-    check=True those two constancy conditions are verified within tol.
+    check=True those two constancy conditions are verified within 1e-8.
     """
     sub_latent = _sub_scheme(model.latent_scheme, latent_subset)
     sub_obs = _sub_scheme(model.obs_scheme, obs_subset)
@@ -574,11 +573,11 @@ def marginal_model(
             members = np.nonzero(agg_e[:, k])[0]
             t_dev = float(np.max(np.abs(trans_rows[members] - trans_rows[members[0]])))
             e_dev = float(np.max(np.abs(emit_rows[members] - emit_rows[members[0]])))
-            if t_dev > tol:
+            if t_dev > 1e-8:
                 raise DomainError(
                     f"latent margin is not autonomous: transition rows differ by {t_dev:.3e}"
                 )
-            if e_dev > tol:
+            if e_dev > 1e-8:
                 raise DomainError(
                     f"observable margin depends on dropped latents: rows differ by {e_dev:.3e}"
                 )

@@ -33,6 +33,7 @@ from .constraints import (
 from .errors import DomainError, MhmmError, ParseError
 from .fit import FitOptions, FitResult, _fit_problems, _Problem, em_fit
 from .graphs import MixedChainGraph
+from .interactions import _parse_group
 from .model import ObservedSeries
 from .schemes import VariableScheme
 
@@ -66,12 +67,6 @@ class ModelSpec:
 
 def _fail(line_no: int, message: str):
     raise ParseError(f"line {line_no}: {message}")
-
-
-def _parse_names(token: str) -> tuple[str, ...]:
-    if token == "-":
-        return ()
-    return tuple(token.split(","))
 
 
 def parse_model_spec(text: str, label: str = "spec") -> ModelSpec:
@@ -201,8 +196,8 @@ def _parse_hypothesis(line_no, tokens, latent, observed):
         if len(tokens) != 5 or tokens[2].lower() not in ("theta", "delta"):
             _fail(line_no, "expected 'hypothesis user_zero THETA|DELTA <P> <Q>'")
         coeff = tokens[2].lower()
-        response = _parse_names(tokens[3])
-        cond = _parse_names(tokens[4])
+        response = _parse_group(tokens[3])
+        cond = _parse_group(tokens[4])
         if not response:
             _fail(line_no, "user_zero needs a nonempty response set")
         response_pool = observed if coeff == "theta" else latent

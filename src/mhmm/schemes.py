@@ -52,11 +52,11 @@ class VariableScheme:
     def of(cls, *variables: tuple[str, int]) -> "VariableScheme":
         return cls(tuple((str(n), int(c)) for n, c in variables))
 
-    @property
+    @cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.variables)
 
-    @property
+    @cached_property
     def counts(self) -> tuple[int, ...]:
         return tuple(count for _, count in self.variables)
 
@@ -64,7 +64,7 @@ class VariableScheme:
     def size(self) -> int:
         return len(self.variables)
 
-    @property
+    @cached_property
     def n_states(self) -> int:
         out = 1
         for c in self.counts:

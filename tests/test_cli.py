@@ -441,6 +441,17 @@ def test_numeric_failure_exit_code(tmp_path, tiny_model_file, monkeypatch, capsy
     assert capsys.readouterr().err.startswith("error:numeric:")
 
 
+def test_memory_error_prints_one_capacity_line(tmp_path, tiny_model_file, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
+
+    monkeypatch.setattr(mhmm.cli, "simulate", exhausted)
+    rc = main(["simulate", "--spec", str(tiny_model_file), "--length", "10", "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error:capacity: Unable to allocate 74.5 GiB for an array\n"
+
+
 def test_module_entry_point_runs(tmp_path):
     spec = write_spec(tmp_path, "ng", TINY_NOGRANGER)
     proc = subprocess.run(

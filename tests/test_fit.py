@@ -29,16 +29,18 @@ from mhmm import (
     parse_model_spec,
     simulate,
     table_from_interactions,
+    user_zero_constraints,
 )
 from mhmm.fit import (
     MSTEP_GTOL,
     MSTEP_MAX_HALVINGS,
+    _canonicalize,
     _MStepProblem,
     batched_m_step,
     canonical_state_orders,
     relabel_states,
 )
-from mhmm.interactions import InteractionTable, _softmax_rows
+from mhmm.interactions import InteractionIndex, InteractionTable, _softmax_rows
 from helpers import dense_gradient_and_info, random_model, random_rows
 
 LAT = VariableScheme.of(("E1", 2), ("E2", 2))
@@ -231,7 +233,8 @@ def test_m_step_stops_after_one_newton_and_one_gradient_failure(rng, monkeypatch
         return solve_states(self, theta_values, warm_x)
 
     monkeypatch.setattr(_MStepProblem, "solve_states", recording)
-    theta, _ = constrained_m_step(DSPACE, counts, mask, gtol=0.0)
+    monkeypatch.setattr(mhmm.fit, "MSTEP_GTOL", 0.0)
+    theta, _ = constrained_m_step(DSPACE, counts, mask)
     reached = next(i for i, t in enumerate(trials) if np.array_equal(t, theta))
     assert len(trials) - 1 - reached <= 2 * MSTEP_MAX_HALVINGS
 
@@ -308,7 +311,7 @@ def m_step_rows(cases):
     return np.array(counts, dtype=float), np.array(warm)
 
 
-def lone_m_steps(counts, warm, gtol, monkeypatch):
+def lone_m_steps(counts, warm, monkeypatch):
     """Each row's lone constrained_m_step: its result or error, and how many
     observed and ridged expected informations it formed."""
     kinds = []
@@ -318,16 +321,16 @@ def lone_m_steps(counts, warm, gtol, monkeypatch):
         kinds.append(_curvature)
         return real(self, probs, _curvature, _score)
 
-    monkeypatch.setattr(_MStepProblem, "gradient_and_info", counting)
     out = []
-    for row_counts, row_warm in zip(counts, warm):
-        kinds.clear()
-        try:
-            result = constrained_m_step(EMISSION_SPACE, row_counts, ADDITIVE, row_warm, gtol)
-        except NumericalError as exc:
-            result = exc
-        out.append((result, kinds.count(True), kinds.count(False)))
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(_MStepProblem, "gradient_and_info", counting)
+        for row_counts, row_warm in zip(counts, warm):
+            kinds.clear()
+            try:
+                result = constrained_m_step(EMISSION_SPACE, row_counts, ADDITIVE, row_warm)
+            except NumericalError as exc:
+                result = exc
+            out.append((result, kinds.count(True), kinds.count(False)))
     return out
 
 
@@ -343,7 +346,7 @@ def test_batched_m_step_rows_equal_lone_calls(monkeypatch):
     # whose cold inversion fails
     cases = [(0, 0.0), (0, 6.0), (0, 300.0), (3, 1.0), (4, 6.0)]
     counts, warm = m_step_rows(cases)
-    lone = lone_m_steps(counts, warm, MSTEP_GTOL, monkeypatch)
+    lone = lone_m_steps(counts, warm, monkeypatch)
     for got, (expected, _, _) in zip(batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm), lone):
         assert_same_row(got, expected)
     failed = lone[2][0]
@@ -362,8 +365,9 @@ def test_batched_m_step_rows_equal_lone_calls_at_the_float_floor(monkeypatch):
     # step; at the float floor the flat-objective test decides row by row
     cases = [(3, 1.0), (5, 1.0), (6, 0.0), (0, 0.0), (8, 0.0), (7, 0.0), (1, 1.0), (3, 0.0)]
     counts, warm = m_step_rows(cases)
-    lone = lone_m_steps(counts, warm, 0.0, monkeypatch)
-    batched = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm, 0.0)
+    monkeypatch.setattr(mhmm.fit, "MSTEP_GTOL", 0.0)
+    lone = lone_m_steps(counts, warm, monkeypatch)
+    batched = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm)
     for got, (expected, _, _) in zip(batched, lone):
         assert_same_row(got, expected)
     assert len({newton for _, newton, _ in lone}) > 2
@@ -599,6 +603,45 @@ def test_em_canonical_labels_are_stable_across_seeds():
     orders_b = canonical_state_orders(b.model)
     assert all(o == tuple(range(1, len(o) + 1)) for o in orders_a)
     assert all(o == tuple(range(1, len(o) + 1)) for o in orders_b)
+
+
+@pytest.mark.parametrize(
+    "zeros, f1_given, relabeled",
+    [
+        # a user zero on F1 given E1 alone, with F1's E1,E2 term free: moving
+        # E2's baseline folds that term into the zeroed block
+        (
+            user_zero_constraints(LAT, OBS, "theta", ["F1"], ["E1"]),
+            {("E2",): -2.0, ("E1", "E2"): 3.0},
+            False,
+        ),
+        # additivity zeroes every E1,E2 term, and relabeling keeps it zero
+        (additivity_constraints(LAT, OBS, "emission"), {("E1",): 0.5, ("E2",): -2.0}, True),
+    ],
+)
+def test_canonicalize_keeps_the_fitted_labels_when_relabeling_breaks_a_zero(
+    rng, zeros, f1_given, relabeled
+):
+    # F1's coefficients given E2 = 2 raise P(F1 = 1), so the canonical
+    # order flips E2 and keeps E1
+    tspace = InteractionSpace(OBS, LAT, "theta")
+    theta = np.zeros((LAT.n_states, tspace.n_columns))
+    for cond, value in f1_given.items():
+        for cat in (2, 3):
+            index = InteractionIndex("theta", ("F1",), cond, (cat,), (2,) * len(cond))
+            theta[tspace.locate(index)] = value
+    transition = random_rows(rng, LAT.n_states, LAT.n_states)
+    emission = table_from_interactions(InteractionTable(tspace, theta))
+    model = MhmmModel.from_tables(LAT, OBS, transition, emission)
+    assert canonical_state_orders(model) == [(1, 2), (2, 1)]
+    delta = interactions_from_table(DSPACE, transition).values
+    dmask, tmask = np.zeros(delta.shape, dtype=bool), zeros.mask(tspace)
+    got, _, got_theta = _canonicalize(model, delta, theta, DSPACE, tspace, dmask, tmask)
+    assert np.all(got_theta[tmask] == 0.0)
+    if relabeled:
+        assert got.emission == approx(relabel_states(model, [(1, 2), (2, 1)]).emission)
+    else:
+        assert got is model and got_theta is theta
 
 
 # Nested ladder on LAT x OBS: 32, 28 and 22 free coordinates

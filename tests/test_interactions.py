@@ -7,6 +7,7 @@ from pytest import approx
 from mhmm import (
     NumericalError,
     DomainError,
+    ParseError,
     InteractionIndex,
     InteractionSpace,
     InteractionTable,
@@ -229,6 +230,10 @@ def test_parse_interaction_lines_rejects_garbage():
         list(parse_interaction_lines("THETA F1 - 2\n"))
     with pytest.raises(DomainError):
         list(parse_interaction_lines("SIGMA F1 - 2 - 0.5\n"))
+    # a baseline category and an empty response margin name their line
+    for line in ("THETA F1 - 1 - 0.5\n", "THETA - - 2 - 0.5\n"):
+        with pytest.raises(ParseError, match="^line 1: "):
+            list(parse_interaction_lines(line))
 
 
 def test_non_finite_coefficients_are_rejected():

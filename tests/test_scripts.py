@@ -9,6 +9,14 @@ import pytest
 
 SCRIPTS = pathlib.Path(__file__).resolve().parent.parent / "scripts"
 
+# the warnings that pyproject's filterwarnings turns into errors in-process;
+# a child process does not inherit them
+WARNINGS_AS_ERRORS = [
+    "-W", "error::RuntimeWarning",
+    "-W", "error::DeprecationWarning",
+    "-W", "error::PendingDeprecationWarning",
+]
+
 # at length 60 the demo's fit stalls numerically
 RUNS = {
     "parameter_counts": [],
@@ -20,7 +28,7 @@ RUNS = {
 @pytest.mark.parametrize("name", RUNS)
 def test_script_runs(name):
     proc = subprocess.run(
-        [sys.executable, str(SCRIPTS / f"{name}.py"), *RUNS[name]],
+        [sys.executable, *WARNINGS_AS_ERRORS, str(SCRIPTS / f"{name}.py"), *RUNS[name]],
         capture_output=True,
         text=True,
         # the child imports mhmm from wherever this test process found it
