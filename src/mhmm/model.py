@@ -23,21 +23,27 @@ from .errors import DomainError, NumericalError, ParseError
 from .schemes import VariableScheme, validate_categories
 
 STOCHASTIC_TOL = 1e-10
-# Bytes of pair posteriors, (n, n) per time step, that the E-step forms at
-# once while it sums its transition counts.
+# Bytes of (n, n) tables per time step formed at once: the E-step's pair
+# posteriors while it sums its transition counts, and the sums behind
+# Viterbi's backpointers while it backtracks.
 PAIR_BLOCK_BYTES = 2**20
 # Largest forward-backward working set of a stack of models
-# (recursion_bytes). A longer series, larger latent scheme or wider stack is
-# refused before anything is allocated, rather than left to exhaust memory.
+# (recursion_bytes); log_likelihood and viterbi are held to the limit of one
+# model's. A longer series, larger latent scheme or wider stack is refused
+# before anything is allocated, rather than left to exhaust memory.
 # At T=1e6, n=4 and one model (96 MB, a traced E-step peak of 144 MB with
 # gamma and temporaries) an E-step took 5.1 s on a 2-CPU VM. At this limit,
 # 11 times that size, each E-step of a fit would take about a minute.
 RECURSION_BYTES = 2**30
-# Time blocks of the forward pass (see _time_blocks). A block after the
-# first starts FORWARD_WARMUP steps early from the uniform law; on 20 windows
-# of a T=100k series of the benchmark's generating model the normalized
-# recursion forgot that start bit for bit within 20-33 steps, and a row that
-# has not is rerun. Series shorter than FORWARD_BLOCK_MIN_T run as one
+# Time blocks of the forward pass and of Viterbi (see _time_blocks). A block
+# after the first starts FORWARD_WARMUP steps early from a guess: the forward
+# pass from the uniform law, Viterbi from a flat score at its estimated
+# entry level. On 20 windows of a T=100k series of the benchmark's
+# generating model the normalized forward recursion forgot that start bit
+# for bit within 20-33 steps. On such series Viterbi's blocks met the exact
+# scores up to one shift within the warm-up, and only the 7-9 of 157 blocks
+# whose scores cross a power of two failed its check. A block that fails
+# its check is rerun. Series shorter than FORWARD_BLOCK_MIN_T run as one
 # block: below it blocking gains little for small stacks and nothing for
 # large ones.
 FORWARD_WARMUP = 64
@@ -207,8 +213,9 @@ def recursion_bytes(T: int, n: int, rows: int = 1) -> int:
 
 
 def _time_blocks(T: int, width: int):
-    """(blocks, stride, steps) of the forward pass over T steps of a stack
-    of width floats a step. Block k runs the steps times k * stride + s for
+    """(blocks, stride, steps) of the forward pass or of Viterbi over T
+    steps of a stack of width floats a step (R n for the forward pass of R
+    models, n for Viterbi). Block k runs the steps times k * stride + s for
     0 <= s < steps, the first FORWARD_WARMUP of them warm-up for k >= 1, so
     each block ends where the next one's warm-up ends; the last one may run
     up to blocks - 1 steps past T. Blocks are about sqrt(width T) steps
@@ -249,12 +256,7 @@ def _forward(models, series: ObservedSeries):
     held to the same limit as the forward-backward of its series.
     """
     T, R, n = len(series), len(models), models[0].transition.shape[0]
-    size = recursion_bytes(T, n, R)
-    if size > RECURSION_BYTES:
-        raise DomainError(
-            f"forward-backward of {R} model(s) over {T} steps and {n} latent states "
-            f"needs {size:,} bytes, above the limit of {RECURSION_BYTES:,}"
-        )
+    _refuse_beyond_limit("forward-backward", T, n, R)
     blocks, stride, steps = _time_blocks(T, R * n)
     length = (blocks - 1) * stride + steps
     b = _emission_columns(models, series, length)
@@ -266,14 +268,8 @@ def _forward(models, series: ObservedSeries):
     b_rows = b[:, :, None, :]
 
     def lanes(a):
-        """View (steps, blocks, ...) of a time-major array of the padded
-        length: [s, k] is time k * stride + s. One block is the array."""
-        if blocks == 1:
-            return a
-        step = a.strides[0]
-        return np.lib.stride_tricks.as_strided(
-            a, (steps, blocks) + a.shape[1:], (step, stride * step) + a.strides[1:]
-        )
+        """The block lanes of a, or a itself for one block."""
+        return a if blocks == 1 else _lanes(a, blocks, stride, steps)
 
     lane_alpha, lane_scales, lane_b = lanes(alpha), lanes(scales), lanes(b_rows)
     warmed = min(FORWARD_WARMUP, steps)
@@ -456,36 +452,200 @@ def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
 def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
     """Most probable joint latent path, ties toward the smallest state index.
 
-    Returns a (T, r) array of 1-based latent categories.
+    Returns a (T, r) array of 1-based latent categories, bitwise the path
+    of the step loop score[t] = max_i(score[t - 1][i] + log P[i, j]) +
+    log b[t] with first-argmax backpointers. Raises NumericalError at the
+    first time every score is -inf (the series has probability zero), and
+    DomainError before allocating when recursion_bytes(T, n) exceeds
+    RECURSION_BYTES, as log_likelihood does.
+
+    The recursion stores scores only. A series of at least
+    FORWARD_BLOCK_MIN_T steps is cut into the forward pass's time blocks
+    (_time_blocks), which run in lock-step: block 0 from the initial law,
+    every later block FORWARD_WARMUP steps before its range from a flat
+    score at its estimated entry level (_entry_levels). Max-plus scores are
+    not normalized, so a block can at best equal the exact scores plus a
+    constant shift; it is kept only where _block_shift proves that shift
+    carries through its whole range bit for bit, and is otherwise rerun
+    step by step from the exact entry. Shifting every score of a time by
+    the same amount changes no argmax, so the backpointers are formed from
+    the stored scores during the backtrack, one block of times at a time.
+    Blocks that straddle a power of two in score are always rerun; the
+    worst case, a model that forgets its start slowly, reruns every block.
     """
-    b = _emission_columns([model], series, len(series))[:, 0]
-    T, n = b.shape
+    T, n = len(series), model.transition.shape[0]
+    _refuse_beyond_limit("Viterbi decoding", T, n)
+    blocks, stride, steps = _time_blocks(T, n)
+    length = (blocks - 1) * stride + steps
+    log_b = _emission_columns([model], series, length)[:, 0]
     with np.errstate(divide="ignore"):
+        np.log(log_b, out=log_b)
         log_a = np.log(model.transition)
-        log_b = np.log(b, out=b)
         log_pi = np.log(model.initial)
-    # row j of candidate holds score[i] + log P(i -> j) over i: the
-    # contiguous last axis keeps argmax from copying. max is exact and
-    # argmax returns the first maximum (smallest index), so the running
-    # score needs no gather and the layout does not change the path
-    log_into = np.ascontiguousarray(log_a.T)
-    score = log_pi + log_b[0]
-    back = np.empty((T, n), dtype=np.intp)
-    candidate = np.empty((n, n))
+        addends = np.log(np.concatenate((model.transition, model.emission), None))
+    addends = addends[addends > -np.inf]
+    score = np.empty((length, n))
+    if blocks == 1:
+        np.add(log_pi, log_b[0], score[0])
+        _max_steps(log_a, score, log_b, 1, T)
+    else:
+        # [s, :, k] is time k * stride + s, state-major for the max over i
+        lane_score = _lanes(score, blocks, stride, steps).transpose(0, 2, 1)
+        lane_b = _lanes(log_b, blocks, stride, steps).transpose(0, 2, 1)
+        lane_log_a = np.repeat(log_a[:, :, None], blocks, 2)
+        start = np.repeat(_entry_levels(lane_log_a, lane_b, log_pi, stride)[None], n, 0)
+        start[:, 0] = log_pi
+        np.add(start, lane_b[0], lane_score[0])
+        _max_steps(lane_log_a, lane_score, lane_b, 1, FORWARD_WARMUP)
+        entries = np.arange(1, blocks) * stride + FORWARD_WARMUP
+        guesses = score[entries - 1]
+        _max_steps(lane_log_a, lane_score, lane_b, FORWARD_WARMUP, steps)
+        shift = 0.0
+        for entry, guess in zip(entries.tolist(), guesses):
+            exact = score[entry - 1] - shift
+            _refuse_dead(score, exact, entry)
+            end = min(entry + stride, T)
+            shift = _block_shift(guess, exact, score[entry:end], addends)
+            if shift is None:
+                shift = 0.0
+                score[entry - 1] = exact
+                _max_steps(log_a, score, log_b, entry, end)
+    _refuse_dead(score, score[T - 1], T)
+    return np.array(model.latent_scheme.states, dtype=int)[_backtrack(score[:T], log_a)]
+
+
+def _refuse_beyond_limit(what: str, T: int, n: int, rows: int = 1) -> None:
+    """Raise DomainError when recursion_bytes(T, n, rows) exceeds
+    RECURSION_BYTES."""
+    size = recursion_bytes(T, n, rows)
+    if size > RECURSION_BYTES:
+        raise DomainError(
+            f"{what} of {rows} model(s) over {T} steps and {n} latent states "
+            f"needs {size:,} bytes, above the limit of {RECURSION_BYTES:,}"
+        )
+
+
+def _lanes(a: np.ndarray, blocks: int, stride: int, steps: int) -> np.ndarray:
+    """View (steps, blocks, ...) of a time-major array of the padded
+    length (_time_blocks): [s, k] is time k * stride + s."""
+    step = a.strides[0]
+    return np.lib.stride_tricks.as_strided(
+        a, (steps, blocks) + a.shape[1:], (step, stride * step) + a.strides[1:]
+    )
+
+
+def _max_steps(log_a, score, log_b, lo: int, hi: int) -> None:
+    """The Viterbi kernel for times lo..hi - 1 of time-major arrays,
+    score[t][j] = max_i(score[t - 1][i] + log_a[i, j]) + log_b[t][j]: the
+    step loop on (time, n) arrays and log_a (n, n), or lock-step lanes on
+    (time, n, width) views and log_a (n, n, width). Every add and max acts
+    elementwise, so each lane is bitwise the step loop on its column. The
+    max is formed in a contiguous buffer: reducing into a strided lane
+    view costs about half again as much per lock-step step."""
     add, maximum = np.add, np.maximum.reduce
-    for back_t, log_b_t in zip(back[1:], log_b[1:]):
-        add(score, log_into, candidate)
-        candidate.argmax(1, back_t)
-        maximum(candidate, 1, None, score)
-        add(score, log_b_t, score)
-    # backtrack over a flat list: back[t, j] is steps[t * n + j]
-    steps = back.ravel().tolist()
-    state = int(np.argmax(score))
+    candidate = np.empty(log_a.shape)
+    best = np.empty(log_a.shape[1:])
+    prevs = score[lo - 1 : hi - 1, :, None]
+    for prev, cur, log_b_t in zip(prevs, score[lo:hi], log_b[lo:hi]):
+        add(prev, log_a, candidate)
+        maximum(candidate, 0, None, best)
+        add(best, log_b_t, cur)
+
+
+def _entry_levels(log_a, lane_b, log_pi, stride: int) -> np.ndarray:
+    """Estimated best score before each block's first time, shape
+    (blocks,): every block is run over its stride from a zero score (block 0
+    from the initial law), keeping only its current scores, and the best
+    final scores are summed over the blocks before. The estimate is off by about the number
+    of blocks times how far a flat start stays above the exact scores,
+    which on the benchmark's generating model was about 0.2% of the level."""
+    row = lane_b[0].copy()
+    row[:, 0] += log_pi
+    # every time of this view is the one row, rewritten by each step
+    rows = np.lib.stride_tricks.as_strided(row, (stride,) + row.shape, (0,) + row.strides)
+    _max_steps(log_a, rows, lane_b, 1, stride)
+    gains = row.max(0)
+    return np.concatenate(([0.0], np.cumsum(gains[:-1])))
+
+
+def _block_shift(guess, exact, scores, addends):
+    """The shift d of a time block started from a guess, or None where it
+    is not proven exact.
+
+    guess is the block's score at its last warm-up time and exact the step
+    loop's score there; scores holds the block's computed range, rows of n.
+    Every candidate of the range is a score plus a finite log-probability
+    of addends, and every score a candidate plus one. The block is the step
+    loop's plus d, bit for bit, when:
+    - guess - exact is one d on every finite state, and both are -inf on
+      the same states;
+    - every finite score and candidate, as computed and minus d, lies
+      strictly inside one binade [2^(e-1), 2^e) in magnitude; its floats
+      are then the multiples of one ulp, d is an exact multiple of it, and
+      every add rounds to the step loop's sum plus d except, perhaps, at a
+      rounding tie;
+    - d is an even number of ulps, so a tie breaks to the same parity, or
+      no addend lies exactly halfway between two multiples of the ulp, so
+      no sum of a score and an addend is a tie.
+    Max and first-argmax are exact and shift-invariant, so the path then
+    follows. Scores are at most 0, so magnitudes are negated scores; the
+    candidate magnitudes are bounded by the largest score magnitude plus
+    the largest addend magnitude, rounded, as rounding is monotone.
+    """
+    live = exact > -np.inf
+    if not np.array_equal(live, guess > -np.inf):
+        return None
+    shifts = guess[live] - exact[live]
+    shift = float(shifts[0])
+    if not (shifts == shift).all():
+        return None
+    low = -max(float(guess.max()), float(scores.max()))
+    top = -min(float(guess[live].min()), float(scores.min(where=scores > -np.inf, initial=0.0)))
+    reach = top + float(-addends.min())
+    floor = math.ldexp(0.5, math.frexp(low)[1])
+    ceiling, ulp = 2 * floor, math.ldexp(floor, -52)
+    exact_low, exact_top = -float(exact.max()), -float(exact[live].min())
+    if not (floor < low and reach < ceiling and floor < exact_low and exact_top < ceiling):
+        return None
+    if not (floor < low + shift and reach + shift < ceiling):
+        return None
+    if math.fmod(shift, 2 * ulp) and (np.fmod(-addends, ulp) == ulp / 2).any():
+        return None
+    return shift
+
+
+def _refuse_dead(score, row, upto: int) -> None:
+    """Raise NumericalError at the first time before upto whose scores are
+    all -inf, when row, the exact scores at time upto - 1, are. Every later
+    score is -inf too, so no path of positive probability exists."""
+    if not (row > -np.inf).any():
+        dead = int(np.argmin((score[:upto] > -np.inf).any(1)))
+        raise NumericalError(f"no latent path has positive probability at time {dead}")
+
+
+def _backtrack(score, log_a) -> list:
+    """Latent state indices of the best path from the scores (T, n), each
+    time's scores the step loop's plus one shift. The backpointers of
+    _pair_block(n) times at a time are argmaxes over (times, n, n) sums
+    laid out [t, j, i] = score[t - 1][i] + log P[i, j], read through a flat
+    list: back[t, j] is pointers[t * n + j]."""
+    T, n = score.shape
+    log_into = np.ascontiguousarray(log_a.T)
+    chunk = _pair_block(n)
+    candidate = np.empty((min(chunk, T), n, n))
+    back = np.empty((min(chunk, T), n), dtype=np.intp)
+    state = int(np.argmax(score[-1]))
     path = [state]
-    for offset in range((T - 1) * n, 0, -n):
-        state = steps[offset + state]
-        path.append(state)
-    return np.array(model.latent_scheme.states, dtype=int)[path[::-1]]
+    for hi in range(T, 1, -chunk):
+        lo = max(1, hi - chunk)
+        m = hi - lo
+        np.add(score[lo - 1 : hi - 1, None, :], log_into, candidate[:m])
+        candidate[:m].argmax(2, back[:m])
+        pointers = back[:m].ravel().tolist()
+        for offset in range((m - 1) * n, -1, -n):
+            state = pointers[offset + state]
+            path.append(state)
+    return path[::-1]
 
 
 def _choice_tables(probs: np.ndarray) -> np.ndarray:

@@ -89,6 +89,36 @@ def stepwise_counts(models, series):
     return out
 
 
+def stepwise_viterbi(model, series):
+    """Viterbi by the step loop over the whole series, backpointers kept
+    per step: (path of 1-based categories as model.viterbi returns it,
+    running scores (T, n)). Ties go to the smallest state index: max is
+    exact and argmax returns the first maximum."""
+    with np.errstate(divide="ignore"):
+        log_a = np.log(model.transition)
+        log_b = np.log(model.emission.T[series.state_indices])
+        log_pi = np.log(model.initial)
+    T, n = log_b.shape
+    # row j of candidate holds score[i] + log P(i -> j) over i
+    log_into = np.ascontiguousarray(log_a.T)
+    scores = np.empty((T, n))
+    np.add(log_pi, log_b[0], scores[0])
+    back = np.empty((T, n), dtype=np.intp)
+    candidate = np.empty((n, n))
+    add, maximum = np.add, np.maximum.reduce
+    for prev, score, back_t, log_b_t in zip(scores, scores[1:], back[1:], log_b[1:]):
+        add(prev, log_into, candidate)
+        candidate.argmax(1, back_t)
+        maximum(candidate, 1, None, score)
+        add(score, log_b_t, score)
+    state = int(np.argmax(scores[-1]))
+    path = [state]
+    for t in range(T - 1, 0, -1):
+        state = int(back[t, state])
+        path.append(state)
+    return np.array(model.latent_scheme.states, dtype=int)[path[::-1]], scores
+
+
 def brute_posteriors(model, series):
     """Smoothed state posteriors by normalizing full path probabilities."""
     n = model.latent_scheme.n_states

@@ -35,6 +35,7 @@ from helpers import (
     random_scheme,
     stepwise_counts,
     stepwise_forward,
+    stepwise_viterbi,
 )
 
 LAT1 = VariableScheme.of(("E1", 2))
@@ -369,6 +370,203 @@ def test_viterbi_golden_path():
     assert path.shape == (20_000, 2)
     digest = hashlib.sha256(np.ascontiguousarray(path, dtype="<i8").tobytes()).hexdigest()
     assert digest == GOLDEN_VITERBI_20K
+
+
+def benchmark_generating_model():
+    """The benchmark's generating model: two autonomous binary chains with
+    sharp emissions over F1 (3) x F2 (2)."""
+    transition = np.kron(
+        np.array([[0.85, 0.15], [0.25, 0.75]]), np.array([[0.8, 0.2], [0.15, 0.85]])
+    )
+    emission = np.full((4, 6), 0.044)
+    for row, cell in enumerate((0, 3, 4, 5)):
+        emission[row, cell] = 0.78
+    emission /= emission.sum(axis=1, keepdims=True)
+    return MhmmModel.from_tables(LATENT_2X2, OBSERVED_3X2, transition, emission)
+
+
+def viterbi_case(name, rng):
+    """(model, lengths) of one equality case of the blocked Viterbi."""
+    n = LATENT_2X2.n_states
+    threshold = mhmm.model.FORWARD_BLOCK_MIN_T
+    around = sorted(set(lengths_around_blocks(n)) | {threshold + 1})
+    if name == "random":
+        return random_model(rng, LATENT_2X2, OBSERVED_3X2), around
+    if name == "all-tie":
+        tables = np.full((n, n), 1 / n), np.full((n, 6), 1 / 6)
+    elif name == "partial-tie":
+        tables = np.kron(np.full((2, 2), 0.5), [[0.7, 0.3], [0.3, 0.7]]), np.full((n, 6), 1 / 6)
+    elif name == "zeros":
+        # each state cannot emit one category, so some scores are -inf
+        cycle = 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+        emission = random_model(rng, LATENT_2X2, OBSERVED_3X2).emission.copy()
+        emission[np.arange(n), np.arange(n)] = 0.0
+        tables = cycle, emission / emission.sum(axis=1, keepdims=True)
+    elif name == "crossing":
+        # best scores fall about 1.6 a step, through 2^10 .. 2^15 mid-block
+        return benchmark_generating_model(), (30_000,)
+    else:
+        return slow_forgetting_model(rng, LATENT_2X2, OBSERVED_3X2), (threshold, 3000)
+    return MhmmModel.from_tables(LATENT_2X2, OBSERVED_3X2, *tables), (threshold - 1, 5000)
+
+
+def straddles(low, high):
+    """Whether magnitudes from low to high leave the open binade of low."""
+    fraction, exponent = math.frexp(low)
+    return fraction == 0.5 or math.frexp(high)[1] != exponent
+
+
+@pytest.mark.parametrize(
+    "name", ["random", "all-tie", "partial-tie", "zeros", "crossing", "slow"]
+)
+def test_blocked_viterbi_equals_the_step_loop(name, monkeypatch):
+    """The path is bitwise the step loop's; every stored time's scores are
+    the step loop's plus one shift, which is what the backtrack relies on;
+    and only the expected blocks are rerun: every block of the
+    slow-forgetting model, and on the generating model only blocks whose
+    scores or candidates, exact or as computed, touch a power of two."""
+    model, lengths = viterbi_case(name, np.random.default_rng(13))
+    warmup = mhmm.model.FORWARD_WARMUP
+    reruns, shifts, stored = [], {}, []
+
+    def spy_steps(log_a, score, log_b, lo, hi):
+        if log_a.ndim == 2 and lo > 1:
+            reruns.append(lo)
+        steps(log_a, score, log_b, lo, hi)
+
+    def spy_shift(guess, exact, scores, addends):
+        live = exact > -np.inf
+        shifts[len(shifts) + 1] = float(np.max(guess[live] - exact[live]))
+        return block_shift(guess, exact, scores, addends)
+
+    def spy_backtrack(score, log_a):
+        stored.append(score.copy())
+        return backtrack(score, log_a)
+
+    steps, block_shift = mhmm.model._max_steps, mhmm.model._block_shift
+    backtrack = mhmm.model._backtrack
+    monkeypatch.setattr(mhmm.model, "_max_steps", spy_steps)
+    monkeypatch.setattr(mhmm.model, "_block_shift", spy_shift)
+    monkeypatch.setattr(mhmm.model, "_backtrack", spy_backtrack)
+    for length in lengths:
+        reruns.clear()
+        shifts.clear()
+        stored.clear()
+        _, series = simulate(model, length, seed=length)
+        want, scores = stepwise_viterbi(model, series)
+        assert np.array_equal(viterbi(model, series), want)
+        live = scores > -np.inf
+        assert np.array_equal(stored[0] > -np.inf, live)
+        with np.errstate(invalid="ignore"):
+            offsets = np.where(live, stored[0] - scores, np.nan)
+        assert (np.nanmax(offsets, 1) == np.nanmin(offsets, 1)).all()
+        blocks, stride, _ = mhmm.model._time_blocks(length, model.transition.shape[0])
+        rerun = {(lo - warmup) // stride for lo in reruns}
+        if name == "slow":
+            assert rerun == set(range(1, blocks))
+        elif name == "crossing":
+            reach = -np.log(np.concatenate((model.transition, model.emission), None)).min()
+            expected = set()
+            for k in range(1, blocks):
+                entry = k * stride + warmup
+                magnitudes = -scores[entry - 1 : entry + stride]
+                low, high = magnitudes.min(), magnitudes.max() + reach
+                if straddles(low, high) or straddles(low - shifts[k], high - shifts[k]):
+                    expected.add(k)
+            assert len(expected) >= 6
+            assert rerun == expected
+
+
+ULP_1024 = 2.0**-42
+EXACT = np.array([-1500.25, -1510.5])
+RANGE = np.array([[-1600.0, -1610.0], [-1700.0, -1650.0]])
+ADDENDS = np.array([-0.5, -1.25, -3.0])
+TIE = -(1 + ULP_1024 / 2)
+
+
+@pytest.mark.parametrize(
+    "guess, exact, scores, addends, shift",
+    [
+        (EXACT + ULP_1024, EXACT, RANGE, ADDENDS, ULP_1024),
+        (EXACT + 2 * ULP_1024, EXACT, RANGE, np.append(ADDENDS, TIE), 2 * ULP_1024),
+        (EXACT + ULP_1024, EXACT, RANGE, np.append(ADDENDS, TIE), None),
+        (EXACT + [ULP_1024, 2 * ULP_1024], EXACT, RANGE, ADDENDS, None),
+        (np.array([-1500.0, -np.inf]), EXACT, RANGE, ADDENDS, None),
+        (EXACT + 1, EXACT, np.array([[-1600.0, -2048.0]]), ADDENDS, None),
+        (EXACT + 1, EXACT, np.array([[-1600.0, -2046.0]]), ADDENDS, None),
+        (EXACT + 1, EXACT, np.array([[-1600.0, -2043.0]]), ADDENDS, 1.0),
+        (np.array([-1024.0, -1030.0]), np.array([-1025.0, -1031.0]), RANGE, ADDENDS, None),
+        (np.array([-1025.0, -1031.0]), np.array([-1024.0, -1030.0]), RANGE, ADDENDS, None),
+        (EXACT + 3, EXACT, np.array([[-1600.0, -2043.0]]), ADDENDS, None),
+    ],
+    ids=[
+        "odd-shift-no-tie",
+        "even-shift-tie",
+        "odd-shift-tie",
+        "unequal-shifts",
+        "inf-patterns-differ",
+        "score-on-power-of-two",
+        "candidate-past-power-of-two",
+        "candidate-below-power-of-two",
+        "computed-entry-on-power-of-two",
+        "exact-entry-on-power-of-two",
+        "shifted-candidate-past-power-of-two",
+    ],
+)
+def test_block_shift_rule(guess, exact, scores, addends, shift):
+    assert mhmm.model._block_shift(guess, exact, scores, addends) == shift
+
+
+def test_an_odd_shift_breaks_a_tie_the_other_way():
+    """Why the rule refuses an odd shift when an addend lies on a
+    half-ulp: the sum of the guess rounds to the other neighbour."""
+    guess = EXACT[0] + ULP_1024
+    assert (guess + TIE) - ULP_1024 != EXACT[0] + TIE
+    assert (guess + ULP_1024 + TIE) - 2 * ULP_1024 == EXACT[0] + TIE
+
+
+def test_viterbi_refuses_a_series_of_probability_zero():
+    """The first time at which every score is -inf is named, as
+    log_likelihood names its underflow; in a blocked series also where
+    that time lies deep in a block's range or inside a warm-up window."""
+    latent = VariableScheme.of(("E1", 2))
+    observed = VariableScheme.of(("F1", 3))
+    model = MhmmModel.from_tables(
+        latent, observed, np.array([[0.9, 0.1], [0.2, 0.8]]), np.array([[0.5, 0.5, 0.0]] * 2)
+    )
+    series = series_of(observed, [[1], [2], [3], [1], [2]])
+    with pytest.raises(NumericalError, match="at time 2$"):
+        log_likelihood(model, series)
+    with pytest.raises(NumericalError, match="^no latent path has positive probability at time 2$"):
+        viterbi(model, series)
+    length = 3 * mhmm.model.FORWARD_BLOCK_MIN_T
+    blocks, stride, _ = mhmm.model._time_blocks(length, latent.n_states)
+    assert blocks >= 3
+    warmup = mhmm.model.FORWARD_WARMUP
+    for t in (stride + warmup + stride // 2, 2 * stride + warmup // 2, length - 1):
+        data = np.ones((length, 1), dtype=int)
+        data[t] = 3
+        with pytest.raises(NumericalError, match=f"at time {t}$"):
+            viterbi(model, ObservedSeries(observed, data))
+
+
+def test_viterbi_beyond_the_size_limit_is_refused(monkeypatch):
+    """viterbi follows log_likelihood's limit and refuses before it
+    allocates anything."""
+    model = two_state_model()
+    series = series_of(OBS1, [[1], [2]] * 50)
+    size = mhmm.model.recursion_bytes(100, 2)
+    assert size == 4_800
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", size)
+    assert viterbi(model, series).shape == (100, 1)
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", size - 1)
+    monkeypatch.setattr(mhmm.model, "_emission_columns", None)
+    with pytest.raises(
+        DomainError,
+        match="^Viterbi decoding of 1 model.s. over 100 steps and 2 latent states "
+        "needs 4,800 bytes, above the limit of 4,799$",
+    ):
+        viterbi(model, series)
 
 
 def test_simulate_reproducible_and_valid():
