@@ -887,19 +887,35 @@ def write_series_csv(series: ObservedSeries) -> str:
 def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     """Parse a header-plus-integer-rows CSV against an observable scheme.
 
-    Columns may appear in any order but must match the scheme names exactly,
-    up to surrounding spaces, and one leading byte-order mark (U+FEFF, as
-    "CSV UTF-8" exports write it) is dropped. Records whose cells are all
-    blank are skipped; every other record needs one cell per column, each
-    read by int(), so surrounding spaces, signs, leading zeros and digit
-    underscores are accepted. Errors name the record (the header is line 1): the first
-    record that has the wrong number of cells or a cell that is not an
-    integer or lies beyond int64. The cells are split by csv.reader and
-    converted in one pass over all of them, with no Python code per row.
+    "\r\n", "\r" and "\n" each end a line, and a line is one record (a quoted
+    cell may not span a line break). Columns may appear in any order but must
+    match the scheme names exactly, up to surrounding spaces, and one leading
+    byte-order mark (U+FEFF, as "CSV UTF-8" exports write it) is dropped.
+    Records whose cells are all blank are skipped; every other record needs
+    one cell per column, each read by int(), so surrounding spaces, signs,
+    leading zeros and digit underscores are accepted. Errors name the first
+    record (the header is line 1) that has the wrong number of cells or a
+    cell that is not an integer or lies beyond int64. A data line spells one
+    joint category, so each distinct line is parsed once, in bulk, and every
+    line takes its row by one index gather.
     """
-    records = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"))))
-    if not records:
+    text = text.removeprefix("\ufeff")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    if not text:
         raise ParseError("empty series file")
+    header, *body = text.removesuffix("\n").split("\n")
+    position = {}
+    # seen[i] is the body line where body line i first occurs, and first[j]
+    # that of distinct line j
+    seen = np.fromiter(map(position.setdefault, body, range(len(body))), np.intp, len(body))
+    first = np.flatnonzero(seen == np.arange(len(body)))
+    reader = csv.reader(distinct := [header, *position])
+    records = list(reader)
+    if reader.line_num != len(records):
+        reader = csv.reader(distinct)
+        start = next(r for r, _ in enumerate(reader) if reader.line_num > r + 1)
+        raise ParseError(f"line {first[start - 1] + 2 if start else 1}: quoted cell spans a line break")
     header = [h.strip() for h in records[0]]
     if sorted(header) != sorted(scheme.names):
         raise ParseError(
@@ -929,10 +945,14 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     except (ValueError, OverflowError) as exc:
         bad = len(cells) - sum(1 for _ in remaining) - 1
         what = "must be integers" if isinstance(exc, ValueError) else "exceed the int64 range"
-        raise ParseError(f"line {rows[bad // k] + 2}: categories {what}") from None
+        raise ParseError(f"line {first[rows[bad // k]] + 2}: categories {what}") from None
     if ragged.size:
         line = ragged[0]
-        raise ParseError(f"line {line + 2}: expected {k} cells, got {lengths[line]}")
+        raise ParseError(f"line {first[line] + 2}: expected {k} cells, got {lengths[line]}")
     if not rows.size:
         raise ParseError("series file has no data rows")
-    return ObservedSeries(scheme, values.reshape(-1, k)[:, order])
+    # take[i] is the row of values that body line i spells, -1 for a blank line
+    slot = np.full(len(seen), -1)
+    slot[first[rows]] = np.arange(rows.size)
+    take = slot[seen]
+    return ObservedSeries(scheme, values.reshape(-1, k)[take[take >= 0]][:, order])

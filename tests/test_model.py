@@ -1,8 +1,10 @@
+import csv
 import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from mhmm import (
@@ -29,6 +31,7 @@ from mhmm.model import expected_counts
 from helpers import (
     path_sum_log_likelihood,
     brute_posteriors,
+    bulk_read_series_csv,
     brute_viterbi,
     random_model,
     random_rows,
@@ -714,6 +717,12 @@ REJECTED_CSV = {
     "header only": ("F1,F2\n", "series file has no data rows"),
     "header and blank rows": ("F1,F2\n\n,\n", "series file has no data rows"),
     "beyond int64": ("F1,F2\n1,2\n99999999999999999999,1\n", "line 3: categories exceed the int64 range"),
+    # "\r" ends a line, a line is one record, and an error names the first
+    # occurrence of a repeated line
+    "bare carriage return": ("F1,F2\n1\r2,1\n", "line 2: expected 2 cells, got 1"),
+    "quoted cell across lines": ('F1,F2\n"1\n",2\n', "line 2: quoted cell spans a line break"),
+    "quoted header across lines": ('"F1\n",F2\n1,2\n', "line 1: quoted cell spans a line break"),
+    "repeated lines": ("F1,F2\n1,2\n1\n1,2\n1\n", "line 3: expected 2 cells, got 1"),
 }
 
 
@@ -744,6 +753,65 @@ def test_series_csv_write_read_write_is_byte_identical(length):
     back = read_series_csv(text, scheme)
     assert np.array_equal(back.data, data)
     assert write_series_csv(back) == text
+
+
+CSV_CELL_TOKENS = ["1", "2", "12", " ", ",", '"', "+", "_", "x", "99999999999999999999"]
+CSV_CELL = st.lists(st.sampled_from([t for t in CSV_CELL_TOKENS if t != ","]), max_size=2)
+# well-formed lines, runs of tokens, and runs of cells, so that data, cell
+# count and integer outcomes all come up
+CSV_TEXT_LINE = st.one_of(
+    st.sampled_from(["1,2", "12,1", "2,2", " 1 ,+2", ",", ""]),
+    st.lists(st.sampled_from(CSV_CELL_TOKENS), max_size=8).map("".join),
+    st.lists(CSV_CELL.map("".join), min_size=2, max_size=3).map(",".join),
+)
+
+
+def _ends_its_record(line):
+    # False when a quoted cell is still open at the end of the line, so that
+    # csv.reader would carry the record on into the next line
+    reader = csv.reader([line, ""])
+    next(reader)
+    return reader.line_num == 1
+
+
+def _read_outcome(read, text):
+    try:
+        return read(text, CSV_SCHEME).data.tolist()
+    except (ParseError, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["F1,F2", "F2,F1", '"F1", F2 ']),
+    st.lists(CSV_TEXT_LINE.filter(_ends_its_record), min_size=1, max_size=4),
+    st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["\n", "\r\n"])), max_size=12),
+    CSV_TEXT_LINE,
+)
+def test_series_csv_reader_agrees_with_the_bulk_oracle(header, pool, picks, tail):
+    # texts from the token alphabet, with lines drawn from a small pool so
+    # that they repeat; "\r" comes only in "\r\n" and no quoted cell spans a
+    # line break, the two inputs the readers treat differently by design
+    text = header + "\n" + "".join(pool[i % len(pool)] + end for i, end in picks) + tail
+    assert _read_outcome(read_series_csv, text) == _read_outcome(bulk_read_series_csv, text)
+
+
+def test_series_csv_parses_each_distinct_line_once(monkeypatch):
+    scheme = VariableScheme.of(("F1", 3), ("F2", 2))
+    rng = np.random.default_rng(14)
+    data = np.column_stack([rng.integers(1, c + 1, 20_000) for c in scheme.counts])
+    text = write_series_csv(ObservedSeries(scheme, data))
+    received = []
+    reader = csv.reader
+
+    def spy(lines):
+        received.append(list(lines))
+        return reader(received[-1])
+
+    monkeypatch.setattr(mhmm.model.csv, "reader", spy)
+    assert np.array_equal(read_series_csv(text, scheme).data, data)
+    assert len(set(text.splitlines()[1:])) == 6
+    assert [len(lines) for lines in received] == [1 + 6]
 
 
 def test_series_csv_rejects_bad_categories():
