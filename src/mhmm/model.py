@@ -14,6 +14,7 @@ import hashlib
 import io
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -887,21 +888,18 @@ def write_series_csv(series: ObservedSeries) -> str:
 def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     """Parse a header-plus-integer-rows CSV against an observable scheme.
 
-    "\r\n", "\r" and "\n" each end a line, and a line is one record (a quoted
-    cell may not span a line break). Columns may appear in any order but must
-    match the scheme names exactly, up to surrounding spaces, and one leading
-    byte-order mark (U+FEFF, as "CSV UTF-8" exports write it) is dropped.
+    "\r\n", "\r" and "\n" each end a line, and a line is one record: a quoted
+    cell may span no line break, but may stay open on the last line. Columns
+    may appear in any order but must match the scheme names exactly, up to
+    surrounding spaces, and one leading byte-order mark (U+FEFF) is dropped.
     Records whose cells are all blank are skipped; every other record needs
     one cell per column, each read by int(), so surrounding spaces, signs,
     leading zeros and digit underscores are accepted. Errors name the first
     record (the header is line 1) that has the wrong number of cells or a
-    cell that is not an integer or lies beyond int64. A data line spells one
-    joint category, so each distinct line is parsed once, in bulk, and every
-    line takes its row by one index gather.
+    cell that is not an integer or lies beyond int64. Each distinct line is
+    parsed once, in bulk, and every line takes its row by one index gather.
     """
-    text = text.removeprefix("\ufeff")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     if not text:
         raise ParseError("empty series file")
     header, *body = text.removesuffix("\n").split("\n")
@@ -910,38 +908,40 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     # that of distinct line j
     seen = np.fromiter(map(position.setdefault, body, range(len(body))), np.intp, len(body))
     first = np.flatnonzero(seen == np.arange(len(body)))
-    reader = csv.reader(distinct := [header, *position])
-    records = list(reader)
-    if reader.line_num != len(records):
+    distinct = [header, *position]
+    if len(body) and seen[-1] < len(body) - 1:
+        distinct.append("")  # stands for the lines after the last distinct one
+    reader = csv.reader(distinct)
+    header = [h.strip() for h in next(reader)]
+    # ends[r] counts the cells up to record r; no record outlives its read, so gc never walks them
+    ends = np.fromiter(map(len, map(operator.iadd, itertools.repeat(cells := []), reader)), np.intp)
+    if reader.line_num > len(ends) + 1:
         reader = csv.reader(distinct)
         start = next(r for r, _ in enumerate(reader) if reader.line_num > r + 1)
         raise ParseError(f"line {first[start - 1] + 2 if start else 1}: quoted cell spans a line break")
-    header = [h.strip() for h in records[0]]
     if sorted(header) != sorted(scheme.names):
         raise ParseError(
             f"series columns {header} do not match observable variables {list(scheme.names)}"
         )
     order = [header.index(name) for name in scheme.names]
     k = len(header)
-    body = records[1:]
-    lengths = np.fromiter(map(len, body), np.intp, len(body))
-    cells = list(itertools.chain.from_iterable(body))
+    lengths = np.diff(ends, prepend=0)
     # filled[c] counts the non-blank cells before cell c: a record whose
     # cells add none is blank
     filled = np.zeros(len(cells) + 1, dtype=np.intp)
-    np.cumsum(np.fromiter(map(bool, map(str.strip, cells)), bool, len(cells)), out=filled[1:])
-    ends = np.cumsum(lengths)
+    np.cumsum(np.fromiter(map(str.strip, cells), bool, len(cells)), out=filled[1:])
     kept = filled[ends] > filled[ends - lengths]
     ragged = np.flatnonzero(kept & (lengths != k))
     if ragged.size:
         # the records after the first ragged one are never read
         kept[ragged[0] :] = False
     rows = np.flatnonzero(kept)
-    if rows.size < len(body):
+    if rows.size < len(lengths):
         cells = list(itertools.compress(cells, np.repeat(kept, lengths).tolist()))
     remaining = iter(cells)
     try:
-        values = np.fromiter(map(int, remaining), np.int64, len(cells))
+        # numpy stores a str as int() and bool() read it
+        values = np.fromiter(remaining, np.int64, len(cells))
     except (ValueError, OverflowError) as exc:
         bad = len(cells) - sum(1 for _ in remaining) - 1
         what = "must be integers" if isinstance(exc, ValueError) else "exceed the int64 range"
@@ -952,7 +952,7 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     if not rows.size:
         raise ParseError("series file has no data rows")
     # take[i] is the row of values that body line i spells, -1 for a blank line
-    slot = np.full(len(seen), -1)
+    slot = np.full(len(body), -1)
     slot[first[rows]] = np.arange(rows.size)
     take = slot[seen]
     return ObservedSeries(scheme, values.reshape(-1, k)[take[take >= 0]][:, order])

@@ -702,6 +702,8 @@ ACCEPTED_CSV = {
     "reordered columns": ("F2,F1\n2,1\n1,12\n", CSV_ROWS),
     "int forms": ("F1,F2\n1_0,+2\n011,1\n", [[10, 2], [11, 1]]),
     "utf-8 BOM": ("\ufeffF1,F2\r\n1,2\r\n12,1\r\n", CSV_ROWS),
+    # a quote left open on the last line spans no line break
+    "quote open at the end": ('F1,F2\n1,2\n12,"1\n', CSV_ROWS),
 }
 REJECTED_CSV = {
     "ragged short": ("F1,F2\n1,2\n3\n4,1\n", "line 3: expected 2 cells, got 1"),
@@ -723,6 +725,8 @@ REJECTED_CSV = {
     "quoted cell across lines": ('F1,F2\n"1\n",2\n', "line 2: quoted cell spans a line break"),
     "quoted header across lines": ('"F1\n",F2\n1,2\n', "line 1: quoted cell spans a line break"),
     "repeated lines": ("F1,F2\n1,2\n1\n1,2\n1\n", "line 3: expected 2 cells, got 1"),
+    "quote open on the last distinct line": ('F1,F2\n1,2\n1,"2\n1,2\n', "line 3: quoted cell spans a line break"),
+    "quote open on a repeated last line": ('F1,F2\n1,"2\n1,2\n1,"2\n', "line 2: quoted cell spans a line break"),
 }
 
 
@@ -783,17 +787,24 @@ def _read_outcome(read, text):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from(["F1,F2", "F2,F1", '"F1", F2 ']),
-    st.lists(CSV_TEXT_LINE.filter(_ends_its_record), min_size=1, max_size=4),
+    st.sampled_from(["F1,F2", "F2,F1", '"F1", F2 ', '"F1,F2']),
+    st.lists(CSV_TEXT_LINE, min_size=1, max_size=4),
     st.lists(st.tuples(st.integers(0, 3), st.sampled_from(["\n", "\r\n"])), max_size=12),
     CSV_TEXT_LINE,
 )
 def test_series_csv_reader_agrees_with_the_bulk_oracle(header, pool, picks, tail):
     # texts from the token alphabet, with lines drawn from a small pool so
-    # that they repeat; "\r" comes only in "\r\n" and no quoted cell spans a
-    # line break, the two inputs the readers treat differently by design
+    # that they repeat; "\r" comes only in "\r\n". A quoted cell that spans
+    # a line break is an error naming the line where it opens, and otherwise
+    # both readers give the same outcome.
     text = header + "\n" + "".join(pool[i % len(pool)] + end for i, end in picks) + tail
-    assert _read_outcome(read_series_csv, text) == _read_outcome(bulk_read_series_csv, text)
+    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    spanning = [i for i, line in enumerate(lines[:-1]) if not _ends_its_record(line)]
+    if spanning:
+        expected = "ParseError", f"line {spanning[0] + 1}: quoted cell spans a line break"
+    else:
+        expected = _read_outcome(bulk_read_series_csv, text)
+    assert _read_outcome(read_series_csv, text) == expected
 
 
 def test_series_csv_parses_each_distinct_line_once(monkeypatch):
@@ -810,8 +821,13 @@ def test_series_csv_parses_each_distinct_line_once(monkeypatch):
 
     monkeypatch.setattr(mhmm.model.csv, "reader", spy)
     assert np.array_equal(read_series_csv(text, scheme).data, data)
-    assert len(set(text.splitlines()[1:])) == 6
-    assert [len(lines) for lines in received] == [1 + 6]
+    header, *body = text.splitlines()
+    distinct = list(dict.fromkeys(body))
+    assert len(distinct) == 6
+    # the last line repeats an earlier one, so an empty line stands for the
+    # lines that follow the last distinct one
+    assert body[-1] != distinct[-1]
+    assert received == [[header, *distinct, ""]]
 
 
 def test_series_csv_rejects_bad_categories():
