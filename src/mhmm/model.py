@@ -886,7 +886,7 @@ def write_series_csv(series: ObservedSeries) -> str:
 
 
 def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
-    """Parse a header-plus-integer-rows CSV against an observable scheme.
+    r"""Parse a header-plus-integer-rows CSV against an observable scheme.
 
     "\r\n", "\r" and "\n" each end a line, and a line is one record: a quoted
     cell may span no line break, but may stay open on the last line. Columns

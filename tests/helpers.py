@@ -122,7 +122,7 @@ def stepwise_viterbi(model, series):
 
 
 def bulk_read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
-    """The series reader that parsed every record, kept as the oracle of
+    r"""The series reader that parsed every record, kept as the oracle of
     model.read_series_csv. It differs by design in two cases: a bare "\r"
     inside a line (csv.Error here, a line break there) and a quoted cell
     that spans a line break (accepted here, a ParseError there)."""
