@@ -216,13 +216,15 @@ class _MStepProblem:
         part.counts, part.totals = self.counts[rows], self.totals[rows]
         return part
 
-    def solve_states(self, theta_values: np.ndarray, warm_x: np.ndarray | None):
+    def solve_states(self, theta_values: np.ndarray, warm):
         """Free log-probabilities carrying the coefficient rows theta_values,
         in blocks of n_cond rows, one block per table, and the errors of the
-        blocks that failed (see _invert_rows)."""
+        blocks that failed (see _invert_rows), starting from the uniform law,
+        from warm = x or from warm = (x, the contrast Jacobians at x)."""
+        x0, jac0 = warm if isinstance(warm, tuple) else (warm, None)
         n_cond = self.space.condition.n_states
         eta = self.space.zeta @ theta_values.reshape(-1, n_cond, self.m)
-        return _invert_rows(self.space, eta.reshape(-1, self.m), x0=warm_x, block=n_cond)
+        return _invert_rows(self.space, eta.reshape(-1, self.m), x0, n_cond, jac0)
 
     def loglik(self, probs: np.ndarray):
         return np.sum(self.counts * np.log(probs), axis=(-2, -1))
@@ -230,14 +232,16 @@ class _MStepProblem:
     def score(self, probs: np.ndarray):
         """Score in interaction coordinates, g = zeta^T H with h_e = J_e^-T g_e.
 
-        Returns (g_theta, j_inv, h); gradient_and_info reuses the stacked
-        inverse blocks j_inv and the rows h of H.
+        Returns (g_theta, j_inv, h, jac); gradient_and_info reuses the
+        stacked inverse blocks j_inv and the rows h of H, and the line search
+        starts its inversions from the Jacobian blocks jac.
         """
-        j_inv = np.linalg.inv(_jacobian_rows(self.space, probs))
+        jac = _jacobian_rows(self.space, probs)
+        j_inv = np.linalg.inv(jac)
         g_x = self.counts[..., 1:] - self.totals[..., None] * probs[..., 1:]
         h = (g_x[..., None, :] @ j_inv)[..., 0, :]
         g_theta = self.space.zeta.T @ h
-        return g_theta.reshape(*h.shape[:-2], -1), j_inv, h
+        return g_theta.reshape(*h.shape[:-2], -1), j_inv, h, jac
 
     def gradient_and_info(self, probs: np.ndarray, _curvature: bool = False, _score=None):
         """Score and expected information in interaction coordinates.
@@ -255,7 +259,7 @@ class _MStepProblem:
         information, the negative Hessian of the objective. _score takes the
         result of score(probs) when the caller already has it.
         """
-        g_theta, j_inv, h = self.score(probs) if _score is None else _score
+        g_theta, j_inv, h = (self.score(probs) if _score is None else _score)[:3]
         lead, n_cond, m = probs.shape[:-2], probs.shape[-2], self.m
         p_free = probs[..., 1:]
         j_inv_t = j_inv.swapaxes(-1, -2)
@@ -407,10 +411,12 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray) -> list:
             part, score = part.take(stepping), tuple(s[stepping] for s in score)
         newton, solved = _newton_steps(part, it.probs[running], score, g_free)
         gradient = g_free / np.maximum(it.gnorm[running], 1.0)[:, None]
-        moved = _line_search(problem, it, running, np.where(solved[:, None], newton, gradient))
+        # score[3], the Jacobians at the iterates, gets no name that would outlive the iteration
+        steps = np.where(solved[:, None], newton, gradient)
+        moved = _line_search(problem, it, running, steps, score[3])
         retry = ~moved & solved
         if retry.any():
-            moved[retry] = _line_search(problem, it, running[retry], gradient[retry])
+            moved[retry] = _line_search(problem, it, running[retry], gradient[retry], score[3][retry])
         running = running[moved]
     accept = max(MSTEP_GTOL, MSTEP_GTOL_ACCEPT)
     floored = _floored(it.probs[alive])
@@ -438,7 +444,7 @@ def _newton_steps(part: _MStepProblem, probs: np.ndarray, score: tuple, g_free: 
     fisher = np.flatnonzero(~_linalg_blocks(np.linalg.cholesky, info_free)[1])
     if fisher.size:
         _, info = part.take(fisher).gradient_and_info(
-            probs[fisher], _score=tuple(s[fisher] for s in score)
+            probs[fisher], _score=tuple(s[fisher] for s in score[:3])
         )
         info_free[fisher] = info[np.ix_(np.arange(fisher.size), free, free)]
         del info
@@ -449,9 +455,12 @@ def _newton_steps(part: _MStepProblem, probs: np.ndarray, score: tuple, g_free: 
     return steps[..., 0], solved
 
 
-def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps: np.ndarray):
+def _line_search(
+    problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps: np.ndarray, jac: np.ndarray
+):
     """Halve each row's step until its objective rises, at most
     MSTEP_MAX_HALVINGS times; the rows still searching share one scale.
+    Inversions start from the iterates, with their Jacobians jac from score.
 
     A row whose trial point fails to invert halves too. A full step that
     leaves the objective flat at float precision is accepted when it shrinks
@@ -470,7 +479,8 @@ def _line_search(problem: _MStepProblem, it: _Iterates, rows: np.ndarray, steps:
         at = rows[pending]
         trial = it.theta[at]
         trial.reshape(at.size, -1)[:, free] += scale * steps[pending]
-        x_trial, errors = problem.solve_states(trial.reshape(-1, m), it.x[at].reshape(-1, m))
+        warm = it.x[at].reshape(-1, m), jac[pending].reshape(-1, m, m)
+        x_trial, errors = problem.solve_states(trial.reshape(-1, m), warm)
         inverted = np.ones(at.size, dtype=bool)
         inverted[list(errors)] = False
         x_trial = x_trial.reshape(at.size, n_cond, m)[inverted]

@@ -148,6 +148,19 @@ class InteractionSpace:
                 a[k, offset + index[cell]] += sign
         return a
 
+    @cached_property
+    def jacobian_gather(self) -> tuple[np.ndarray, np.ndarray]:
+        """(cell, sign), each (n_columns, n_states): for column k and state j,
+        the stacked cell of column k's margin that j falls in and the contrast
+        there, the only term of (contrast @ diag(1/margins) @ marginalizer)[k, j]."""
+        layout, _ = self._margin_layout
+        falls = {
+            P: offset + self.marginalizer[offset : offset + len(cells)].argmax(axis=0)
+            for P, (cells, _, offset) in layout.items()
+        }
+        cell = np.array([falls[P] for P, _ in self.columns])
+        return cell, np.take_along_axis(self.contrast, cell, axis=1)
+
     # -- conditioning-side layout ----------------------------------------------
 
     @cached_property
@@ -358,10 +371,11 @@ def _softmax_rows(x_free: np.ndarray) -> np.ndarray:
 def _jacobian_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     """Per-row derivative of the contrast vector in free log-probability
     coordinates (cell 0 pinned at zero); rows along the last axis of p but
-    one, so (rows, n_cells) gives (rows, m, m)."""
-    margins = p @ space.marginalizer.T
-    weighted = space.marginalizer / margins[..., :, None]
-    dlog = space.contrast @ weighted
+    one, so (rows, n_cells) gives (rows, m, m). d(C log(M p))/dp is gathered
+    (InteractionSpace.jacobian_gather): each entry is one term +-1/margin or
+    zero, so it equals the dense product C diag(1 / M p) M bitwise."""
+    cell, sign = space.jacobian_gather
+    dlog = sign * (1.0 / (p @ space.marginalizer.T))[..., cell]
     eye = np.eye(p.shape[-1])[:, 1:]
     dp = p[..., :, None] * (eye - p[..., None, 1:])
     return dlog @ dp
@@ -372,6 +386,7 @@ def _invert_rows(
     target: np.ndarray,
     x0: np.ndarray | None = None,
     block: int | None = None,
+    jac0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, dict[int, NumericalError]]:
     """Solve for the distributions carrying the requested contrast rows.
 
@@ -385,7 +400,8 @@ def _invert_rows(
     failing block drops out without changing the other rows. Returns
     (x, errors): errors maps the number of each failing block, in order, to
     the NumericalError of that block, and x holds every other block's
-    solution.
+    solution. jac0 takes the Jacobians (rows, m, m) at the start, formed
+    over whole blocks, for the first iteration to use if all rows are active.
     """
     target = np.asarray(target, dtype=float)
     rows, m = target.shape
@@ -412,7 +428,10 @@ def _invert_rows(
         active = np.flatnonzero(live & ~(err <= NEWTON_TOL))
         if active.size == 0:
             break
-        jac = _by_block(lambda q: _jacobian_rows(space, q), p[active], active, block)
+        # jac0 spans whole blocks; a product over fewer rows rounds differently
+        if jac0 is None or active.size < rows:
+            jac0 = _by_block(lambda q: _jacobian_rows(space, q), p[active], active, block)
+        jac, jac0 = jac0, None
         rhs = -residual[active][:, :, None]
         step, ok = _linalg_blocks(np.linalg.solve, jac, rhs, rows=active, block=block)
         if not ok.all():

@@ -9,6 +9,7 @@ of the transition table, so a model is fully determined by its two tables.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import csv
 import hashlib
 import io
@@ -44,11 +45,12 @@ RECURSION_BYTES = 2**30
 # for bit within 20-33 steps. On such series Viterbi's blocks met the exact
 # scores up to one shift within the warm-up, and only the 7-9 of 157 blocks
 # whose scores cross a power of two failed its check. A block that fails
-# its check is rerun. Series shorter than FORWARD_BLOCK_MIN_T run as one
-# block: below it blocking gains little for small stacks and nothing for
-# large ones.
+# its check is rerun. Blocked, the forward pass took 0.41-0.69 of the step
+# loop's time at T=500 and 0.28-1.00 at T=200-800 (n = 4, 1-9 models, 2-CPU
+# VM); Viterbi's blocks are slower below VITERBI_BLOCK_MIN_T (T=200: 0.95
+# against 0.56 ms), so shorter series run as one block there.
 FORWARD_WARMUP = 64
-FORWARD_BLOCK_MIN_T = 1000
+VITERBI_BLOCK_MIN_T = 1000
 
 
 @dataclass(frozen=True)
@@ -223,11 +225,10 @@ def _time_blocks(T: int, width: int):
     long: a wider stack already spreads each step's call overhead over more
     rows and gains less from more blocks. stride >= FORWARD_WARMUP, so
     every warm-up step is later overwritten by the block before."""
-    if T >= FORWARD_BLOCK_MIN_T:
-        blocks = (T - FORWARD_WARMUP) // max(FORWARD_WARMUP, math.isqrt(width * T))
-        if blocks > 1:
-            stride = -(-(T - FORWARD_WARMUP) // blocks)
-            return blocks, stride, FORWARD_WARMUP + stride
+    blocks = (T - FORWARD_WARMUP) // max(FORWARD_WARMUP, math.isqrt(width * T))
+    if blocks > 1:
+        stride = -(-(T - FORWARD_WARMUP) // blocks)
+        return blocks, stride, FORWARD_WARMUP + stride
     return 1, T, T
 
 
@@ -461,7 +462,7 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
     RECURSION_BYTES, as log_likelihood does.
 
     The recursion stores scores only. A series of at least
-    FORWARD_BLOCK_MIN_T steps is cut into the forward pass's time blocks
+    VITERBI_BLOCK_MIN_T steps is cut into the forward pass's time blocks
     (_time_blocks), which run in lock-step: block 0 from the initial law,
     every later block FORWARD_WARMUP steps before its range from a flat
     score at its estimated entry level (_entry_levels). Max-plus scores are
@@ -476,7 +477,7 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
     """
     T, n = len(series), model.transition.shape[0]
     _refuse_beyond_limit("Viterbi decoding", T, n)
-    blocks, stride, steps = _time_blocks(T, n)
+    blocks, stride, steps = _time_blocks(T, n) if T >= VITERBI_BLOCK_MIN_T else (1, T, T)
     length = (blocks - 1) * stride + steps
     log_b = _emission_columns([model], series, length)[:, 0]
     with np.errstate(divide="ignore"):
@@ -896,8 +897,9 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     one cell per column, each read by int(), so surrounding spaces, signs,
     leading zeros and digit underscores are accepted. Errors name the first
     record (the header is line 1) that has the wrong number of cells or a
-    cell that is not an integer or lies beyond int64. Each distinct line is
-    parsed once, in bulk, and every line takes its row by one index gather.
+    cell that is not an integer or lies beyond int64, or that starts a record
+    with a cell beyond csv.field_size_limit(). Each distinct line is parsed
+    once, in bulk, and every line takes its row by one index gather.
     """
     text = text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n")
     if not text:
@@ -912,9 +914,17 @@ def read_series_csv(text: str, scheme: VariableScheme) -> ObservedSeries:
     if len(body) and seen[-1] < len(body) - 1:
         distinct.append("")  # stands for the lines after the last distinct one
     reader = csv.reader(distinct)
-    header = [h.strip() for h in next(reader)]
     # ends[r] counts the cells up to record r; no record outlives its read, so gc never walks them
-    ends = np.fromiter(map(len, map(operator.iadd, itertools.repeat(cells := []), reader)), np.intp)
+    records = map(operator.iadd, itertools.repeat(cells := []), reader)
+    try:
+        header = [h.strip() for h in next(reader)]
+        ends = np.fromiter(map(len, records), np.intp)
+    except csv.Error as exc:  # a cell beyond csv.field_size_limit(): name where its record starts
+        reader, start = csv.reader(distinct), 0
+        with contextlib.suppress(csv.Error):
+            for _ in reader:
+                start = reader.line_num
+        raise ParseError(f"line {first[start - 1] + 2 if start else 1}: {exc}") from None
     if reader.line_num > len(ends) + 1:
         reader = csv.reader(distinct)
         start = next(r for r, _ in enumerate(reader) if reader.line_num > r + 1)

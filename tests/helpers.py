@@ -243,6 +243,17 @@ def brute_factorial(space, contrasts):
     return out
 
 
+def dense_jacobian_rows(space, p):
+    """interactions._jacobian_rows by the dense product
+    contrast @ (marginalizer / margins) in place of its gather."""
+    margins = p @ space.marginalizer.T
+    weighted = space.marginalizer / margins[..., :, None]
+    dlog = space.contrast @ weighted
+    eye = np.eye(p.shape[-1])[:, 1:]
+    dp = p[..., :, None] * (eye - p[..., None, 1:])
+    return dlog @ dp
+
+
 def dense_gradient_and_info(space, counts, probs):
     """M-step score and expected information in interaction coordinates,
     by inverting the full k x k chart Jacobian kron(moebius, I) blockdiag(J_e)."""

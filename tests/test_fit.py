@@ -239,6 +239,52 @@ def test_m_step_stops_after_one_newton_and_one_gradient_failure(rng, monkeypatch
     assert len(trials) - 1 - reached <= 2 * MSTEP_MAX_HALVINGS
 
 
+def test_line_search_inversions_start_from_the_scored_jacobians(monkeypatch):
+    """Each line-search trial's inversion, the gradient retry's too, takes
+    over the contrast Jacobians that scoring formed at its start point:
+    spies count the Jacobian rows each trial forms, none of them there."""
+    latent = VariableScheme.of(("E1", 2), ("E2", 2))
+    observed = VariableScheme.of(*[(f"F{i}", 3) for i in range(1, 4)])
+    space = InteractionSpace(observed, latent, "theta")
+    counts = 500.0 * np.random.default_rng(0).dirichlet(np.full(observed.n_states, 2.0), 4)
+    mask = additivity_constraints(latent, observed, "emission").mask(space)
+    trials, searches = [], []  # a trial: [its start's rows, rows formed there, rows formed]
+    solve_states, jacobian_rows = _MStepProblem.solve_states, mhmm.interactions._jacobian_rows
+    newton_steps, line_search = mhmm.fit._newton_steps, mhmm.fit._line_search
+
+    def spy_solve(self, theta_values, warm):
+        if warm is not None:
+            trials.append([{row.tobytes() for row in _softmax_rows(warm[0])}, 0, 0])
+        return solve_states(self, theta_values, warm)
+
+    def spy_jacobian(space, p):
+        rows = [row.tobytes() for row in p.reshape(-1, p.shape[-1])]
+        if trials:
+            trials[-1][1] += sum(row in trials[-1][0] for row in rows)
+            trials[-1][2] += len(rows)
+        return jacobian_rows(space, p)
+
+    def spy_search(problem, it, rows, steps, jac):
+        searches.append(rows.size)
+        return line_search(problem, it, rows, steps, jac)
+
+    def downhill(*args):
+        # a downhill Newton step fails its line search, so the gradient
+        # retry runs from the same point
+        steps, solved = newton_steps(*args)
+        return -steps, solved
+
+    monkeypatch.setattr(_MStepProblem, "solve_states", spy_solve)
+    monkeypatch.setattr(mhmm.interactions, "_jacobian_rows", spy_jacobian)
+    monkeypatch.setattr(mhmm.fit, "_line_search", spy_search)
+    monkeypatch.setattr(mhmm.fit, "_newton_steps", downhill)
+    monkeypatch.setattr(mhmm.fit, "MSTEP_MAX_ITER", 3)
+    batched_m_step(space, counts[None], mask)
+    assert searches == [1] * 6
+    assert sum(formed for _, _, formed in trials) > 0
+    assert [at_start for _, at_start, _ in trials] == [0] * len(trials)
+
+
 def test_m_step_converges_on_additivity_far_from_additive_rows():
     # Dirichlet(2) rows sit far from any additive table, where a
     # linear-rate iteration stalls just above the acceptance threshold

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from pytest import approx
 
 from mhmm import (
@@ -28,7 +29,7 @@ from mhmm.interactions import (
     contrasts_from_table,
     expand_factorial,
 )
-from helpers import brute_contrasts, brute_factorial, random_rows
+from helpers import brute_contrasts, brute_factorial, dense_jacobian_rows, random_rows
 
 
 def theta_space(resp_vars, cond_vars):
@@ -334,3 +335,42 @@ def test_inversion_block_rescued_by_the_ridge_is_not_failed(rng, monkeypatch):
     assert refused == [12, 4]
     assert errors == {}
     assert np.abs(contrast_of_distribution(LAT2, _softmax_rows(x)) - targets).max() <= NEWTON_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.integers(min_value=2, max_value=4), min_size=1, max_size=4),
+    st.sampled_from(["theta", "delta"]),
+    st.integers(min_value=0, max_value=10_000),
+)
+def test_jacobian_gather_equals_the_dense_product_bitwise(counts, kind, seed):
+    """Every entry of contrast @ diag(1 / margins) @ marginalizer has at
+    most one nonzero term, so the gathered Jacobian is the dense product's
+    byte for byte, zero signs included, on a stack of tables, one table
+    and one row."""
+    response = VariableScheme.of(*[(f"F{i + 1}", c) for i, c in enumerate(counts)])
+    condition = response if kind == "delta" else VariableScheme.of(("E1", 2))
+    space = InteractionSpace(response, condition, kind)
+    assert (np.abs(space.contrast) @ space.marginalizer).max() <= 1.0
+    rng = np.random.default_rng(seed)
+    stacked = random_rows(rng, 6, response.n_states).reshape(2, 3, -1)
+    for probs in (stacked, stacked[1], stacked[1, 2]):
+        got = _jacobian_rows(space, probs)
+        assert got.tobytes() == dense_jacobian_rows(space, probs).tobytes()
+
+
+def test_inversion_from_given_start_jacobians_equals_the_plain_inversion(rng):
+    """jac0, formed over whole blocks, stands in for the first iteration's
+    Jacobians only when every row is active, since a product over fewer
+    rows rounds differently: with no row or with three rows of four at
+    their targets, the solution is the plain inversion's bitwise."""
+    space = theta_space([("F1", 3), ("F2", 3), ("F3", 3)], [("E1", 2), ("E2", 2)])
+    for _ in range(5):
+        x0 = rng.normal(size=(4, space.n_columns))
+        targets = contrasts_from_table(space, random_rows(rng, 4, space.response.n_states))
+        jac0 = _jacobian_rows(space, _softmax_rows(x0)[None])[0]
+        for at_target in (0, 3):
+            targets[:at_target] = contrast_of_distribution(space, _softmax_rows(x0[:at_target]))
+            got, want = _invert_rows(space, targets, x0, jac0=jac0), _invert_rows(space, targets, x0)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1] == want[1] == {}

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -246,11 +247,15 @@ def padding(length, width):
     return (blocks - 1) * stride + steps - length
 
 
-def lengths_around_blocks(width):
+def first_blocked_length(width):
+    """The shortest series that the forward pass cuts into time blocks."""
+    return next(t for t in itertools.count(1) if mhmm.model._time_blocks(t, width)[0] > 1)
+
+
+def lengths_around_blocks(width, threshold):
     """Just below and at the blocking threshold, then a length whose blocks
     end exactly at T and the lengths one step either side of it, whose last
     block is short."""
-    threshold = mhmm.model.FORWARD_BLOCK_MIN_T
     full = next(t for t in range(threshold + 500, threshold + 2000) if padding(t, width) == 0)
     assert padding(full - 1, width) > 0 and padding(full + 1, width) > 0
     return threshold - 1, threshold, full - 1, full, full + 1
@@ -278,7 +283,8 @@ def test_blocked_forward_equals_the_step_loop(mixed, monkeypatch):
 
     steps = mhmm.model._steps
     monkeypatch.setattr(mhmm.model, "_steps", spy)
-    lengths = lengths_around_blocks(len(stack) * LATENT_2X2.n_states)
+    width = len(stack) * LATENT_2X2.n_states
+    lengths = lengths_around_blocks(width, first_blocked_length(width))
     for length in lengths:
         _, series = simulate(fast[0], length, seed=length)
         got = mhmm.model._forward(stack, series)
@@ -304,7 +310,7 @@ def test_blocked_forward_reports_underflow_where_the_step_loop_does():
         emission[:, category] = 0.0
         emission /= emission.sum(axis=1, keepdims=True)
         models[r] = MhmmModel.from_tables(LATENT_2X2, observed, models[r].transition, emission)
-    length = 3 * mhmm.model.FORWARD_BLOCK_MIN_T
+    length = 3 * first_blocked_length(3 * LATENT_2X2.n_states)
     blocks, stride, _ = mhmm.model._time_blocks(length, 3 * LATENT_2X2.n_states)
     assert blocks >= 3
     warmup = mhmm.model.FORWARD_WARMUP
@@ -391,8 +397,8 @@ def benchmark_generating_model():
 def viterbi_case(name, rng):
     """(model, lengths) of one equality case of the blocked Viterbi."""
     n = LATENT_2X2.n_states
-    threshold = mhmm.model.FORWARD_BLOCK_MIN_T
-    around = sorted(set(lengths_around_blocks(n)) | {threshold + 1})
+    threshold = mhmm.model.VITERBI_BLOCK_MIN_T
+    around = sorted(set(lengths_around_blocks(n, threshold)) | {threshold + 1})
     if name == "random":
         return random_model(rng, LATENT_2X2, OBSERVED_3X2), around
     if name == "all-tie":
@@ -542,7 +548,7 @@ def test_viterbi_refuses_a_series_of_probability_zero():
         log_likelihood(model, series)
     with pytest.raises(NumericalError, match="^no latent path has positive probability at time 2$"):
         viterbi(model, series)
-    length = 3 * mhmm.model.FORWARD_BLOCK_MIN_T
+    length = 3 * mhmm.model.VITERBI_BLOCK_MIN_T
     blocks, stride, _ = mhmm.model._time_blocks(length, latent.n_states)
     assert blocks >= 3
     warmup = mhmm.model.FORWARD_WARMUP
@@ -727,6 +733,10 @@ REJECTED_CSV = {
     "repeated lines": ("F1,F2\n1,2\n1\n1,2\n1\n", "line 3: expected 2 cells, got 1"),
     "quote open on the last distinct line": ('F1,F2\n1,2\n1,"2\n1,2\n', "line 3: quoted cell spans a line break"),
     "quote open on a repeated last line": ('F1,F2\n1,"2\n1,2\n1,"2\n', "line 2: quoted cell spans a line break"),
+    # csv.reader refuses a cell beyond csv.field_size_limit()
+    "cell beyond the field limit": (
+        "F1,F2\n" + "1" * 200000 + ",1\n", "line 2: field larger than field limit (131072)"
+    ),
 }
 
 
