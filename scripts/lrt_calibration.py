@@ -53,7 +53,7 @@ def generating_model():
     for row, cell in enumerate((0, 3, 4, 5)):
         emission[row, cell] = 0.78
     emission /= emission.sum(axis=1, keepdims=True)
-    return MhmmModel.from_tables(LAT, OBS, transition, emission)
+    return MhmmModel(LAT, OBS, transition, emission)
 
 
 def run(config):

@@ -52,7 +52,7 @@ def generating_model(rng):
     emission = rng.dirichlet(np.full(OBS.n_states, 0.8), size=LAT.n_states)
     emission = np.maximum(emission, 0.02)
     emission /= emission.sum(axis=1, keepdims=True)
-    return MhmmModel.from_tables(LAT, OBS, transition, emission)
+    return MhmmModel(LAT, OBS, transition, emission)
 
 
 def main():

@@ -173,6 +173,8 @@ class FitResult:
 
 
 # Keeps EM iterates safely interior; a cell this small carries no data anyway.
+# Each table is floored once, where its iterate is made: by the M-step
+# (batched_m_step), or by _probs_of for start and damped iterates.
 EM_FLOOR = 1e-8
 
 
@@ -577,7 +579,7 @@ class _Restart:
 
 def _probs_of(space, values):
     try:
-        return table_from_interactions(InteractionTable(space, values))
+        return _floored(table_from_interactions(InteractionTable(space, values)))
     except DomainError as exc:
         # boundary trips during fitting are a numerical condition, restartable
         raise NumericalError(str(exc)) from exc
@@ -683,9 +685,7 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
         try:
             if probs is None:
                 probs = _probs_of(p.dspace, delta), _probs_of(p.tspace, theta)
-            model = MhmmModel.from_tables(
-                p.latent_scheme, p.obs_scheme, _floored(probs[0]), _floored(probs[1])
-            )
+            model = MhmmModel(p.latent_scheme, p.obs_scheme, *probs)
         except NumericalError as exc:
             run.error = str(exc)
             return None
@@ -845,11 +845,7 @@ def relabel_states(model: MhmmModel, orders) -> MhmmModel:
         old = tuple(orders[i][c - 1] for i, c in enumerate(state))
         src[k] = scheme.state_index(old)
     return MhmmModel(
-        latent_scheme=scheme,
-        obs_scheme=model.obs_scheme,
-        transition=model.transition[np.ix_(src, src)],
-        emission=model.emission[src, :],
-        initial=model.initial[src],
+        scheme, model.obs_scheme, model.transition[np.ix_(src, src)], model.emission[src, :]
     )
 
 

@@ -3,7 +3,8 @@
 A model couples a first-order latent chain over the joint states of the
 latent scheme with a conditional emission table over the joint categories of
 the observable scheme. The initial law is the unique invariant distribution
-of the transition table, so a model is fully determined by its two tables.
+of the transition table, so a model is fully determined by its two tables:
+MhmmModel derives it from them, and read_model checks a file's stated law.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import io
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -89,17 +90,22 @@ class ObservedSeries:
 
 
 def stationary_distribution(transition: np.ndarray) -> np.ndarray:
-    """Invariant law of a row-stochastic matrix.
+    """Invariant law of a row-stochastic matrix (see _invariant_law)."""
+    a = np.asarray(transition, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DomainError(f"transition table must be square, got {a.shape}")
+    return _invariant_law(_check_stochastic("transition", a))
+
+
+def _invariant_law(transition: np.ndarray) -> np.ndarray:
+    """Invariant law of a checked row-stochastic square matrix.
 
     Solves the balance equations with a normalization row and verifies the
-    result. Strictly positive transition tables have a unique invariant law.
+    result. Strictly positive transition tables have a unique invariant law;
+    a table without one raises NumericalError.
     """
-    a = np.asarray(transition, dtype=float)
-    n = a.shape[0]
-    if a.ndim != 2 or a.shape != (n, n):
-        raise DomainError(f"transition table must be square, got {a.shape}")
-    a = _check_stochastic("transition", a)
-    system = a.T - np.eye(n)
+    n = transition.shape[0]
+    system = transition.T - np.eye(n)
     system[-1, :] = 1.0
     rhs = np.zeros(n)
     rhs[-1] = 1.0
@@ -107,7 +113,7 @@ def stationary_distribution(transition: np.ndarray) -> np.ndarray:
         pi = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:
         raise NumericalError("stationary law solve failed; transition table is singular")
-    residual = float(np.max(np.abs(pi @ a - pi)))
+    residual = float(np.max(np.abs(pi @ transition - pi)))
     if residual > 1e-10 or np.any(pi < -1e-12):
         raise NumericalError(f"invariant law residual {residual:.3e}; chain may be reducible")
     pi = np.clip(pi, 0.0, None)
@@ -129,13 +135,15 @@ def _check_stochastic(name: str, table: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MhmmModel:
-    """Joint-state hidden Markov model over categorical schemes."""
+    """Joint-state hidden Markov model over categorical schemes, built from
+    its two tables: each is checked and normalized once, and initial is the
+    invariant law of the stored transition table (NumericalError if none)."""
 
     latent_scheme: VariableScheme
     obs_scheme: VariableScheme
     transition: np.ndarray
     emission: np.ndarray
-    initial: np.ndarray
+    initial: np.ndarray = field(init=False)
 
     def __post_init__(self):
         ne = self.latent_scheme.n_states
@@ -146,41 +154,15 @@ class MhmmModel:
             raise DomainError(f"transition shape {transition.shape}, expected {(ne, ne)}")
         if emission.shape != (ne, nf):
             raise DomainError(f"emission shape {emission.shape}, expected {(ne, nf)}")
-        initial = np.asarray(self.initial, dtype=float)
-        if initial.shape != (ne,):
-            raise DomainError(f"initial law shape {initial.shape}, expected {(ne,)}")
-        if not np.all(initial >= 0.0) or abs(initial.sum() - 1.0) > STOCHASTIC_TOL:
-            raise DomainError(
-                f"initial law must be nonnegative and sum to 1 within {STOCHASTIC_TOL:.0e}"
-            )
-        if not np.max(np.abs(initial @ transition - initial)) <= 1e-8:
-            raise DomainError("initial law is not invariant for the transition table")
-        initial = np.clip(initial, 0.0, None)
-        initial = initial / initial.sum()
+        initial = _invariant_law(transition)
         for name, arr in (("transition", transition), ("emission", emission), ("initial", initial)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
-    def from_tables(
-        cls,
-        latent_scheme: VariableScheme,
-        obs_scheme: VariableScheme,
-        transition: np.ndarray,
-        emission: np.ndarray,
-    ) -> "MhmmModel":
-        """Build a model, deriving the initial law from the transition table."""
-        transition = _check_stochastic("transition", transition)
-        n = latent_scheme.n_states
-        if transition.shape != (n, n):
-            raise DomainError(f"transition shape {transition.shape}, expected {(n, n)}")
-        return cls(
-            latent_scheme=latent_scheme,
-            obs_scheme=obs_scheme,
-            transition=transition,
-            emission=emission,
-            initial=stationary_distribution(transition),
-        )
+    def from_tables(cls, latent_scheme, obs_scheme, transition, emission) -> "MhmmModel":
+        """The constructor under the name earlier callers use."""
+        return cls(latent_scheme, obs_scheme, transition, emission)
 
 
 # -- likelihood recursions ---------------------------------------------------
@@ -393,13 +375,16 @@ def forward_backward(model: MhmmModel, series: ObservedSeries):
     Returns (gamma, xi, loglik): gamma[t] is the posterior law of the joint
     latent state at time t, xi[t] the posterior law of the pair (t, t+1).
     Rows of gamma sum to one; xi[t] marginalizes to gamma[t] and gamma[t+1].
+    Raises DomainError before allocating when xi's (T - 1) n^2 floats, or
+    the recursion's (see _forward), exceed RECURSION_BYTES.
     """
+    T, n = len(series), model.transition.shape[0]
+    _refuse_beyond_limit("pair posteriors", T, n, size=8 * (T - 1) * n * n)
     b, alpha, scales = _forward([model], series)
     log_lik = _row_log_likelihood(scales[:, 0])
     beta = _backward([model], b, scales)
     alpha, beta, scales, b = alpha[:, 0], beta[:, 0], scales[:, 0], b[:, 0]
-    n = model.transition.shape[0]
-    xi = np.empty((len(b) - 1, n, n))
+    xi = np.empty((T - 1, n, n))
     _pair_posteriors(alpha, beta, scales, b, model.transition, 0, xi)
     return _state_posteriors(alpha, beta), xi, log_lik
 
@@ -516,10 +501,10 @@ def viterbi(model: MhmmModel, series: ObservedSeries) -> np.ndarray:
     return np.array(model.latent_scheme.states, dtype=int)[_backtrack(score[:T], log_a)]
 
 
-def _refuse_beyond_limit(what: str, T: int, n: int, rows: int = 1) -> None:
-    """Raise DomainError when recursion_bytes(T, n, rows) exceeds
-    RECURSION_BYTES."""
-    size = recursion_bytes(T, n, rows)
+def _refuse_beyond_limit(what: str, T: int, n: int, rows: int = 1, size=None) -> None:
+    """Raise DomainError when size, by default recursion_bytes(T, n, rows),
+    exceeds RECURSION_BYTES."""
+    size = recursion_bytes(T, n, rows) if size is None else size
     if size > RECURSION_BYTES:
         raise DomainError(
             f"{what} of {rows} model(s) over {T} steps and {n} latent states "
@@ -745,7 +730,7 @@ def marginal_model(
                 )
     transition = weights.T @ trans_rows
     emission = weights.T @ emit_rows
-    return MhmmModel.from_tables(sub_latent, sub_obs, transition, emission)
+    return MhmmModel(sub_latent, sub_obs, transition, emission)
 
 
 def joint_law(model: MhmmModel, steps: int, latent_subset=None, obs_subset=None) -> np.ndarray:
@@ -806,7 +791,8 @@ def write_model(model: MhmmModel) -> str:
 
 
 def read_model(text: str) -> MhmmModel:
-    """Parse the flat model format written by write_model."""
+    """Parse the flat model format written by write_model; the stated
+    initial law must lie within 1e-8 of the one the model derives."""
     section = None
     latent_vars: list[tuple[str, int]] = []
     obs_vars: list[tuple[str, int]] = []
@@ -864,13 +850,14 @@ def read_model(text: str) -> MhmmModel:
             initial[latent_scheme.state_index(key)] = value
     except DomainError as exc:
         raise ParseError(f"bad state key in model file: {exc}")
-    return MhmmModel(
-        latent_scheme=latent_scheme,
-        obs_scheme=obs_scheme,
-        transition=transition,
-        emission=emission,
-        initial=initial,
-    )
+    model = MhmmModel(latent_scheme, obs_scheme, transition, emission)
+    if not np.all(initial >= 0.0) or abs(initial.sum() - 1.0) > STOCHASTIC_TOL:
+        raise DomainError(
+            f"initial law must be nonnegative and sum to 1 within {STOCHASTIC_TOL:.0e}"
+        )
+    if not np.max(np.abs(initial - model.initial)) <= 1e-8:
+        raise DomainError("initial law is not invariant for the transition table")
+    return model
 
 
 # -- series files -----------------------------------------------------------------

@@ -259,11 +259,12 @@ def test_compare_exits_3_with_the_first_failing_spec_in_order(tmp_path, monkeypa
     assert capsys.readouterr().err == f"error:numeric: {messages[0]}\n"
 
 
-# sha256 of the artifacts of the fit below, recorded with the sequential
-# restart loop that lock-step restarts replaced
+# sha256 of the artifacts of the fit below, recorded once each EM table was
+# floored and normalized once and the initial law derived by the model
+# constructor alone
 GOLDEN_NOGRANGER = {
-    ".model": "d105307dd8528c80ba521aeec88d821e0380b4d71339c9fb8268e2089b7e2b66",
-    ".coefficients.txt": "52965e9b7b3871e703d844bf9ebb64486f55923dd620d3f1716c0b3973acda46",
+    ".model": "ecdcc350eda30c063934b063b04586d33604da6df83fb0a689ff7cfbc7f4c982",
+    ".coefficients.txt": "cb3f4103e2fd53384300fcfaf7d34fa407589c3c56ec8139a2a8e655c4adc6c3",
 }
 
 
@@ -400,6 +401,23 @@ def test_simulate_rejects_an_initial_law_that_is_not_a_distribution(
     assert rc == 2
     assert capsys.readouterr().err.startswith("error:domain: initial law must be")
 
+
+def test_simulate_refuses_a_transition_table_without_a_unique_invariant_law(
+    tmp_path, tiny_model_file, capsys
+):
+    # the identity chain leaves every law invariant, the stated one too, so
+    # the model derives none
+    lines = tiny_model_file.read_text().splitlines()
+    start = lines.index("[transition]") + 1
+    for row, value in enumerate(("1", "0", "0", "1"), start):
+        lines[row] = f"{lines[row].split()[0]} {value}"
+    tiny_model_file.write_text("\n".join(lines) + "\n")
+    rc = main(["simulate", "--spec", str(tiny_model_file), "--length", "10", "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error:numeric: stationary law solve failed; transition table is singular\n"
+    )
+    assert not (tmp_path / "series.csv").exists()
 
 def test_simulate_rejects_a_negative_seed(tmp_path, tiny_model_file, capsys):
     argv = ["simulate", "--spec", str(tiny_model_file), "--length", "10", "--seed", "-1"]

@@ -537,10 +537,11 @@ def fit_digest(fit):
 
 
 # sha256 of FitResults whose restarts are damped and stop on tol, max_iter or
-# an error, recorded with the E-step that formed counts for every row
+# an error, recorded once each EM table was floored and normalized once and
+# the initial law derived by the model constructor alone
 GOLDEN_DAMPED_FITS = {
-    "saturated": "5653f8da9501e04cb7c31a2d9ceb96c2b939f43e35f7b8411754939494772631",
-    "noGranger": "c983e4bf7854c632cfc1f803cfd65b0b1e3d946d5fcd7956ff83cd2cd253d554",
+    "saturated": "f5d416da4093e9f739be6f974f9e730c957e776187b22b3e7679527847741170",
+    "noGranger": "44f289adedb7304039c785c97d0b7bfe51f613ece696697bb80127e1137f7729",
 }
 
 

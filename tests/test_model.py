@@ -28,6 +28,7 @@ from mhmm import (
     write_series_csv,
 )
 import mhmm.model
+from mhmm.fit import relabel_states
 from mhmm.model import expected_counts
 from helpers import (
     path_sum_log_likelihood,
@@ -169,11 +170,12 @@ def test_batched_e_step_rows_equal_single_model_calls(latent_counts):
 
 # sha256 of expected_counts over a stack of three models, at lengths on and
 # around the pair blocks of the E-step's transition counts, recorded with
-# the E-step that summed one whole (T - 1, n, n) pair array
+# the E-step that summed one whole (T - 1, n, n) pair array; the 3x3 case
+# re-recorded once the model constructor normalized each table once
 GOLDEN_E_STEP = {
     "2x2-block-50": "2ac72c1b1baa4e4f42b91129fb58b9d81063f2c0818dadf5d6706d11cebd38f9",
     "2x2-default-block": "91b2619ba8f692a02fb73554c94695cca45cb2762742b67eb89bfcee2e46c547",
-    "3x3-default-block": "4755a43b1a4371210bd7a89bb7bc4cf0eae17896e33d13da73fab08448a60d82",
+    "3x3-default-block": "ae726f519f693e1df89777bd486471d4ecdd61eeb4e44acdab144fe44a3014d2",
 }
 
 
@@ -342,6 +344,26 @@ def test_recursion_beyond_the_size_limit_is_refused(monkeypatch):
     monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 3 * 100 * 2 * 8 - 1)
     with pytest.raises(DomainError, match="needs 4,800 bytes, above the limit of 4,799$"):
         log_likelihood(model, series)
+
+
+def test_pair_posteriors_beyond_the_size_limit_are_refused(monkeypatch):
+    """forward_backward holds its (T - 1) n^2 floats of xi to the limit too,
+    and refuses them before the forward pass allocates anything; at n = 4
+    they outgrow b, alpha and beta."""
+    model = random_model(np.random.default_rng(5), LATENT_2X2, OBSERVED_3X2)
+    _, series = simulate(model, 100, seed=1)
+    assert mhmm.model.recursion_bytes(100, 4) == 9_600
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 99 * 4 * 4 * 8)
+    assert forward_backward(model, series)[1].shape == (99, 4, 4)
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 99 * 4 * 4 * 8 - 1)
+    assert expected_counts([model], series)[0][0].shape == (4, 4)
+    monkeypatch.setattr(mhmm.model, "_forward", None)
+    with pytest.raises(
+        DomainError,
+        match="^pair posteriors of 1 model.s. over 100 steps and 4 latent states "
+        "needs 12,672 bytes, above the limit of 12,671$",
+    ):
+        forward_backward(model, series)
 
 
 def test_state_indices_follow_scheme_enumeration(rng):
@@ -677,6 +699,51 @@ def test_model_file_round_trip(rng):
     assert np.array_equal(back.emission, m.emission)
     assert np.array_equal(back.initial, m.initial)
     assert write_model(back) == text
+
+
+# Every way a model is built: each derives the initial law from the stored
+# transition table in the constructor.
+MODEL_BUILDERS = {
+    "from_tables": lambda m: MhmmModel.from_tables(
+        m.latent_scheme, m.obs_scheme, m.transition, m.emission
+    ),
+    "read_model": lambda m: read_model(write_model(m)),
+    "relabel_states": lambda m: relabel_states(m, [(2, 1), (2, 1)]),
+    "marginal_model": lambda m: marginal_model(m, ["E1"], ["F1"], check=False),
+}
+
+
+@pytest.mark.parametrize("build", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS)
+def test_initial_law_is_the_invariant_law_of_the_stored_transition(rng, build):
+    model = build(random_model(rng, LATENT_2X2, OBSERVED_3X2))
+    assert np.array_equal(model.initial, mhmm.model._invariant_law(model.transition))
+    assert not model.initial.flags.writeable
+    with pytest.raises(TypeError):
+        MhmmModel(
+            model.latent_scheme, model.obs_scheme, model.transition, model.emission,
+            initial=model.initial,
+        )
+
+
+@pytest.mark.parametrize("build", MODEL_BUILDERS.values(), ids=MODEL_BUILDERS)
+def test_building_a_model_checks_each_table_once_and_solves_once(rng, monkeypatch, build):
+    model = random_model(rng, LATENT_2X2, OBSERVED_3X2)
+    checked, solved = [], []
+    check, solve = mhmm.model._check_stochastic, mhmm.model._invariant_law
+
+    def counted_check(name, table):
+        checked.append(name)
+        return check(name, table)
+
+    def counted_solve(transition):
+        solved.append(transition)
+        return solve(transition)
+
+    monkeypatch.setattr(mhmm.model, "_check_stochastic", counted_check)
+    monkeypatch.setattr(mhmm.model, "_invariant_law", counted_solve)
+    built = build(model)
+    assert checked == ["transition", "emission"]
+    assert len(solved) == 1 and solved[0] is built.transition
 
 
 def test_model_file_rejects_tampering(rng):
