@@ -11,7 +11,6 @@ explicitly disabled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -359,6 +358,11 @@ def graphs_equivalent(
     Returns the bijection as a dict, or None. The observable blocks must
     match exactly, including their bi-directed edges. Cardinality maps
     default to all-equal; the second map defaults to the first.
+
+    The search backtracks over the sorted latent names, offering each only
+    the images with its node signature and dropping a partial map at the
+    first edge among assigned nodes that does not carry over; it finds the
+    first bijection in itertools.permutations order.
     """
     if set(g1.latent) != set(g2.latent) or tuple(g1.observed) != tuple(g2.observed):
         return None
@@ -366,28 +370,47 @@ def graphs_equivalent(
         return None
     cards1 = latent_cardinalities or {}
     cards2 = latent_cardinalities2 if latent_cardinalities2 is not None else cards1
+    sig1, sig2 = _signatures(g1, cards1), _signatures(g2, cards2)
+    if sorted(sig1.values()) != sorted(sig2.values()):
+        return None
     names = sorted(g1.latent)
-    for image in itertools.permutations(names):
-        nu = dict(zip(names, image))
-        if _preserves_structure(g1, g2, nu, cards1, cards2):
-            return nu
-    return None
+    nu: dict[str, str] = {}
+
+    def extend(k: int) -> bool:
+        if k == len(names):
+            return True
+        a = names[k]
+        for x in names:
+            if sig2[x] == sig1[a] and x not in nu.values() and all(
+                _edges(g1, a, b) == _edges(g2, x, y) for b, y in [*nu.items(), (a, x)]
+            ):
+                nu[a] = x
+                if extend(k + 1):
+                    return True
+                del nu[a]
+        return False
+
+    return nu if extend(0) else None
 
 
-def _preserves_structure(g1, g2, nu, cards1, cards2) -> bool:
-    for a in g1.latent:
-        if cards1.get(a, 2) != cards2.get(nu[a], 2):
-            return False
-    for a in g1.latent:
-        for b in g1.latent:
-            if ((a, b) in g1.directed_latent) != ((nu[a], nu[b]) in g2.directed_latent):
-                return False
-            if a < b:
-                p1 = _norm_pair(a, b) in g1.bidirected_latent
-                p2 = _norm_pair(nu[a], nu[b]) in g2.bidirected_latent
-                if p1 != p2:
-                    return False
-        for f in g1.observed:
-            if ((a, f) in g1.directed_emit) != ((nu[a], f) in g2.directed_emit):
-                return False
-    return True
+def _edges(g: MixedChainGraph, a: str, b: str) -> tuple[bool, bool, bool]:
+    """Whether latent nodes a and b carry a -> b, b -> a and a <-> b."""
+    d = g.directed_latent
+    return (a, b) in d, (b, a) in d, _norm_pair(a, b) in g.bidirected_latent
+
+
+def _signatures(g: MixedChainGraph, cards: dict[str, int]) -> dict[str, tuple]:
+    """Per latent node, what a structure-preserving relabeling keeps: state
+    count, self-loop, directed out- and in-degree, bi-directed degree and
+    emitted observables."""
+    return {
+        a: (
+            cards.get(a, 2),
+            (a, a) in g.directed_latent,
+            sum(tail == a for tail, _ in g.directed_latent),
+            sum(head == a for _, head in g.directed_latent),
+            sum(a in pair for pair in g.bidirected_latent),
+            sorted(f for tail, f in g.directed_emit if tail == a),
+        )
+        for a in g.latent
+    }

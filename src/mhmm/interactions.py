@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, NumericalError, ParseError
-from .schemes import BASELINE, VariableScheme, _subsets
+from .schemes import BASELINE, VariableScheme, _kron, _subsets
 
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 200
@@ -67,12 +67,17 @@ class InteractionIndex:
 class InteractionSpace:
     """Index bookkeeping and linear operators for one coefficient table.
 
-    Precomputes, for a (response, conditioning) scheme pair:
+    Each operator is a Kronecker product of one small factor per variable,
+    with VariableScheme.margin as the one margin map of the package:
 
-    * the marginalization matrix stacking every response margin,
-    * the alternating-sum contrast matrix over those margins,
-    * the baseline-coded expansion (Moebius) matrix over conditioning
-      states and its inverse.
+    * marginalizer: the rows of response.margin(P).T stacked over the
+      nonempty response margins P;
+    * contrast: block diagonal over P, block P the product over i in P of
+      [-1 | I], each non-baseline category of i minus its baseline;
+    * zeta: the product over conditioning variables of I with its first
+      column set to 1, evaluating coefficients to per-state contrasts;
+    * moebius: the product of I with -1 below its first diagonal entry,
+      the inverse of zeta (baseline coding).
 
     Conditioning margins are identified with conditioning states: the pair
     (Q, non-baseline categories on Q) corresponds to the state that carries
@@ -92,18 +97,6 @@ class InteractionSpace:
     def margins(self) -> tuple[tuple[int, ...], ...]:
         """Nonempty response margins as position tuples, by (size, order)."""
         return _subsets(range(self.response.size))[1:]
-
-    @cached_property
-    def _margin_layout(self):
-        """Per margin: cell list, index map, offset into the stacked vector."""
-        counts = self.response.counts
-        layout = {}
-        offset = 0
-        for P in self.margins:
-            cells = tuple(itertools.product(*[range(1, counts[i] + 1) for i in P]))
-            layout[P] = (cells, {c: k for k, c in enumerate(cells)}, offset)
-            offset += len(cells)
-        return layout, offset
 
     @cached_property
     def columns(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
@@ -126,26 +119,19 @@ class InteractionSpace:
     @cached_property
     def marginalizer(self) -> np.ndarray:
         """0/1 matrix mapping cell probabilities to stacked margins."""
-        layout, total = self._margin_layout
-        m = np.zeros((total, self.response.n_states))
-        for P, (cells, index, offset) in layout.items():
-            for j, state in enumerate(self.response.states):
-                key = tuple(state[i] for i in P)
-                m[offset + index[key], j] = 1.0
-        return m
+        # C order: a transposed layout changes BLAS's transpose flags and so the rounding
+        return np.ascontiguousarray(np.concatenate([self.response.margin(P).T for P in self.margins]))
 
     @cached_property
     def contrast(self) -> np.ndarray:
         """Signed matrix applying alternating sums over log margins."""
-        layout, total = self._margin_layout
-        a = np.zeros((self.n_columns, total))
-        for k, (P, cats) in enumerate(self.columns):
-            cells, index, offset = layout[P]
-            by_pos = dict(zip(P, cats))
-            for keep in _subsets(P):
-                cell = tuple(by_pos[i] if i in keep else BASELINE for i in P)
-                sign = (-1) ** (len(P) - len(keep))
-                a[k, offset + index[cell]] += sign
+        counts = self.response.counts
+        a = np.zeros((self.n_columns, len(self.marginalizer)))
+        row = col = 0
+        for P in self.margins:
+            block = _kron(np.eye(counts[i])[1:] - np.eye(counts[i])[:1] for i in P)
+            a[row : row + block.shape[0], col : col + block.shape[1]] = block
+            row, col = row + block.shape[0], col + block.shape[1]
         return a
 
     @cached_property
@@ -153,12 +139,10 @@ class InteractionSpace:
         """(cell, sign), each (n_columns, n_states): for column k and state j,
         the stacked cell of column k's margin that j falls in and the contrast
         there, the only term of (contrast @ diag(1/margins) @ marginalizer)[k, j]."""
-        layout, _ = self._margin_layout
-        falls = {
-            P: offset + self.marginalizer[offset : offset + len(cells)].argmax(axis=0)
-            for P, (cells, _, offset) in layout.items()
-        }
-        cell = np.array([falls[P] for P, _ in self.columns])
+        # state j falls in one cell per margin, listed in margin order
+        falls = np.nonzero(self.marginalizer.T)[1].reshape(self.response.n_states, -1).T
+        order = {P: m for m, P in enumerate(self.margins)}
+        cell = falls[[order[P] for P, _ in self.columns]]
         return cell, np.take_along_axis(self.contrast, cell, axis=1)
 
     # -- conditioning-side layout ----------------------------------------------
@@ -179,30 +163,12 @@ class InteractionSpace:
     @cached_property
     def zeta(self) -> np.ndarray:
         """0/1 evaluation matrix: contrasts from coefficients, per state."""
-        states = self.condition.states
-        n = len(states)
-        z = np.zeros((n, n))
-        for r, state in enumerate(states):
-            for c, (support, cats) in enumerate(self.combos):
-                if all(state[i] == v for i, v in zip(support, cats)):
-                    z[r, c] = 1.0
-        return z
+        return _kron(_first_column(c, 1.0) for c in self.condition.counts)
 
     @cached_property
     def moebius(self) -> np.ndarray:
         """Signed inverse of the evaluation matrix (baseline coding)."""
-        states = self.condition.states
-        n = len(states)
-        w = np.zeros((n, n))
-        index = self.condition.state_index
-        for r, (support, cats) in enumerate(self.combos):
-            by_pos = dict(zip(support, cats))
-            for keep in _subsets(support):
-                state = tuple(
-                    by_pos[i] if i in keep else BASELINE for i in range(self.condition.size)
-                )
-                w[r, index(state)] += (-1) ** (len(support) - len(keep))
-        return w
+        return _kron(_first_column(c, -1.0) for c in self.condition.counts)
 
     # -- index enumeration ------------------------------------------------------
 
@@ -258,6 +224,13 @@ class InteractionSpace:
         size and identity, then conditioning margin size and identity, then
         categories."""
         return self._serial_order
+
+
+def _first_column(count: int, value: float) -> np.ndarray:
+    """The count x count identity with value below its first diagonal entry."""
+    f = np.eye(count)
+    f[1:, 0] = value
+    return f
 
 
 @dataclass

@@ -676,18 +676,12 @@ def simulate(model: MhmmModel, length: int, seed: int = 0):
 # -- marginalization -----------------------------------------------------------
 
 
-def _sub_scheme(scheme: VariableScheme, names) -> VariableScheme:
-    keep = set(names)
-    return VariableScheme(tuple(v for v in scheme.variables if v[0] in keep))
-
-
-def _aggregator(scheme: VariableScheme, sub: VariableScheme) -> np.ndarray:
-    """0/1 matrix mapping joint states of a scheme onto those of a sub-scheme."""
-    positions = [scheme.names.index(n) for n in sub.names]
-    out = np.zeros((scheme.n_states, sub.n_states))
-    for j, state in enumerate(scheme.states):
-        out[j, sub.state_index(tuple(state[i] for i in positions))] = 1.0
-    return out
+def _sub_scheme(scheme: VariableScheme, names=None) -> tuple[VariableScheme, np.ndarray]:
+    """The named variables (by default all) as a scheme, in scheme order,
+    and the margin map of the scheme's states onto it."""
+    keep = set(scheme.names if names is None else names)
+    positions = [i for i, name in enumerate(scheme.names) if name in keep]
+    return VariableScheme(tuple(scheme.variables[i] for i in positions)), scheme.margin(positions)
 
 
 def marginal_model(
@@ -704,12 +698,8 @@ def marginal_model(
     autonomously and the retained observables depend on it alone; with
     check=True those two constancy conditions are verified within 1e-8.
     """
-    sub_latent = _sub_scheme(model.latent_scheme, latent_subset)
-    sub_obs = _sub_scheme(model.obs_scheme, obs_subset)
-    if sub_latent.size == 0 or sub_obs.size == 0:
-        raise DomainError("marginal model needs nonempty latent and observable subsets")
-    agg_e = _aggregator(model.latent_scheme, sub_latent)
-    agg_f = _aggregator(model.obs_scheme, sub_obs)
+    sub_latent, agg_e = _sub_scheme(model.latent_scheme, latent_subset)
+    sub_obs, agg_f = _sub_scheme(model.obs_scheme, obs_subset)
     pi = model.initial
     pi_sub = pi @ agg_e
     weights = (pi[:, None] * agg_e) / pi_sub[None, :]
@@ -736,16 +726,10 @@ def marginal_model(
 def joint_law(model: MhmmModel, steps: int, latent_subset=None, obs_subset=None) -> np.ndarray:
     """Exhaustive joint law of (latent margin, observable margin) over a few
     steps, axes ordered e_0..e_{k-1}, f_0..f_{k-1}. Intended for small cases."""
-    lat_names = model.latent_scheme.names if latent_subset is None else tuple(latent_subset)
-    obs_names = model.obs_scheme.names if obs_subset is None else tuple(obs_subset)
-    sub_latent = _sub_scheme(model.latent_scheme, lat_names)
-    sub_obs = _sub_scheme(model.obs_scheme, obs_names)
-    agg_e = _aggregator(model.latent_scheme, sub_latent)
-    agg_f = _aggregator(model.obs_scheme, sub_obs)
-    ne, nf = model.latent_scheme.n_states, model.obs_scheme.n_states
-    shape = (sub_latent.n_states,) * steps + (sub_obs.n_states,) * steps
-    law = np.zeros(shape)
-    for path in itertools.product(range(ne), repeat=steps):
+    sub_latent, agg_e = _sub_scheme(model.latent_scheme, latent_subset)
+    sub_obs, agg_f = _sub_scheme(model.obs_scheme, obs_subset)
+    law = np.zeros((sub_latent.n_states,) * steps + (sub_obs.n_states,) * steps)
+    for path in itertools.product(range(model.latent_scheme.n_states), repeat=steps):
         weight = model.initial[path[0]]
         for a, b in zip(path, path[1:]):
             weight *= model.transition[a, b]

@@ -30,6 +30,17 @@ def _subsets(items) -> tuple[tuple, ...]:
     )
 
 
+def _kron(factors) -> np.ndarray:
+    """Kronecker product of 2-D factors, the first slowest on both axes, by
+    one broadcast product per factor; adding 0.0 clears the -0.0 that a
+    signed factor times zero leaves."""
+    out = np.ones((1, 1))
+    for f in factors:
+        shape = (out.shape[0] * f.shape[0], out.shape[1] * f.shape[1])
+        out = (out[:, None, :, None] * f[None, :, None, :]).reshape(shape)
+    return out + 0.0
+
+
 @dataclass(frozen=True)
 class VariableScheme:
     """Ordered collection of categorical variables with category counts."""
@@ -94,6 +105,14 @@ class VariableScheme:
         if unknown:
             raise DomainError(f"unknown variables {sorted(unknown)}; scheme has {self.names}")
         return tuple(i for i, name in enumerate(self.names) if name in wanted)
+
+    def margin(self, positions) -> np.ndarray:
+        """0/1 matrix (states x margin states) sending each joint state to
+        its projection on the given positions, margin states row-major in
+        scheme order: the Kronecker product of I on the kept variables and a
+        column of ones on the others."""
+        keep = set(positions)
+        return _kron(np.eye(c) if i in keep else np.ones((c, 1)) for i, c in enumerate(self.counts))
 
     def names_at(self, positions) -> tuple[str, ...]:
         return tuple(self.names[i] for i in positions)

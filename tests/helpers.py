@@ -277,6 +277,68 @@ def dense_gradient_and_info(space, counts, probs):
     return a_inv.T @ g_x, a_inv.T @ info_x @ a_inv
 
 
+def loop_space_operators(space):
+    """The interaction-space operators built cell by cell with loops over
+    subsets: (marginalizer, contrast, zeta, moebius, gather cell, gather
+    sign), for comparison with InteractionSpace's Kronecker construction."""
+    counts = space.response.counts
+    layout = {}
+    total = 0
+    for P in space.margins:
+        cells = tuple(itertools.product(*[range(1, counts[i] + 1) for i in P]))
+        layout[P] = (cells, {c: k for k, c in enumerate(cells)}, total)
+        total += len(cells)
+
+    marginalizer = np.zeros((total, space.response.n_states))
+    for P, (cells, index, offset) in layout.items():
+        for j, state in enumerate(space.response.states):
+            marginalizer[offset + index[tuple(state[i] for i in P)], j] = 1.0
+
+    contrast = np.zeros((space.n_columns, total))
+    for k, (P, cats) in enumerate(space.columns):
+        cells, index, offset = layout[P]
+        by_pos = dict(zip(P, cats))
+        for keep in subsets(P):
+            cell = tuple(by_pos[i] if i in keep else BASELINE for i in P)
+            contrast[k, offset + index[cell]] += (-1) ** (len(P) - len(keep))
+
+    falls = {
+        P: offset + marginalizer[offset : offset + len(cells)].argmax(axis=0)
+        for P, (cells, _, offset) in layout.items()
+    }
+    cell = np.array([falls[P] for P, _ in space.columns])
+    sign = np.take_along_axis(contrast, cell, axis=1)
+
+    states = space.condition.states
+    n = len(states)
+    zeta = np.zeros((n, n))
+    for r, state in enumerate(states):
+        for c, (support, cats) in enumerate(space.combos):
+            if all(state[i] == v for i, v in zip(support, cats)):
+                zeta[r, c] = 1.0
+    moebius = np.zeros((n, n))
+    for r, (support, cats) in enumerate(space.combos):
+        by_pos = dict(zip(support, cats))
+        for keep in subsets(support):
+            state = tuple(
+                by_pos[i] if i in keep else BASELINE for i in range(space.condition.size)
+            )
+            moebius[r, space.condition.state_index(state)] += (-1) ** (
+                len(support) - len(keep)
+            )
+    return marginalizer, contrast, zeta, moebius, cell, sign
+
+
+def loop_aggregator(scheme, sub):
+    """0/1 matrix mapping joint states of a scheme onto those of a sub-scheme,
+    one state at a time."""
+    positions = [scheme.names.index(n) for n in sub.names]
+    out = np.zeros((scheme.n_states, sub.n_states))
+    for j, state in enumerate(scheme.states):
+        out[j, sub.state_index(tuple(state[i] for i in positions))] = 1.0
+    return out
+
+
 # -- conditional independence checks on probability tables -------------------
 
 
@@ -371,6 +433,45 @@ def brute_connected_subsets(nodes, edges):
             if seen == inside:
                 family.add(frozenset(subset))
     return frozenset(family)
+
+
+# -- graph equivalence oracle -------------------------------------------------
+
+
+def brute_graphs_equivalent(g1, g2, cards1=None, cards2=None):
+    """mhmm.graphs_equivalent by trying every permutation of the sorted
+    latent names in turn and checking every node pair of each."""
+    if set(g1.latent) != set(g2.latent) or tuple(g1.observed) != tuple(g2.observed):
+        return None
+    if g1.bidirected_obs != g2.bidirected_obs:
+        return None
+    cards1 = cards1 or {}
+    cards2 = cards2 if cards2 is not None else cards1
+    names = sorted(g1.latent)
+    for image in itertools.permutations(names):
+        nu = dict(zip(names, image))
+        if _preserves_structure(g1, g2, nu, cards1, cards2):
+            return nu
+    return None
+
+
+def _preserves_structure(g1, g2, nu, cards1, cards2) -> bool:
+    for a in g1.latent:
+        if cards1.get(a, 2) != cards2.get(nu[a], 2):
+            return False
+    for a in g1.latent:
+        for b in g1.latent:
+            if ((a, b) in g1.directed_latent) != ((nu[a], nu[b]) in g2.directed_latent):
+                return False
+            if a < b:
+                p1 = (a, b) in g1.bidirected_latent
+                p2 = tuple(sorted((nu[a], nu[b]))) in g2.bidirected_latent
+                if p1 != p2:
+                    return False
+        for f in g1.observed:
+            if ((a, f) in g1.directed_emit) != ((nu[a], f) in g2.directed_emit):
+                return False
+    return True
 
 
 # -- random model factories ---------------------------------------------------

@@ -1,8 +1,10 @@
+import time
+
 import numpy as np
 import pytest
 
 from mhmm import CapacityError, DomainError, IndependenceStatement, MixedChainGraph, graphs_equivalent
-from helpers import brute_connected_subsets
+from helpers import brute_connected_subsets, brute_graphs_equivalent, random_mixed_graph
 
 
 def chain(bidir_lat=(), directed=(), emit=(), bidir_obs=(), obs=("F1", "F2"), self_parents=True):
@@ -266,3 +268,98 @@ def test_graphs_equivalent_requires_matching_observable_block():
     g1 = chain(bidir_obs=(("F1", "F2"),))
     g2 = chain()
     assert graphs_equivalent(g1, g2) is None
+
+
+def relabeled(g, nu):
+    """The graph with every latent name a renamed nu[a]."""
+    return MixedChainGraph(
+        latent=g.latent,
+        observed=g.observed,
+        directed_latent=frozenset((nu[a], nu[b]) for a, b in g.directed_latent),
+        bidirected_latent=frozenset(
+            tuple(sorted((nu[a], nu[b]))) for a, b in g.bidirected_latent
+        ),
+        directed_emit=frozenset((nu[a], f) for a, f in g.directed_emit),
+        bidirected_obs=g.bidirected_obs,
+    )
+
+
+def toggled(g, rng):
+    """The graph with one latent or emission edge added or removed."""
+    latent = sorted(g.latent)
+    kind = int(rng.integers(3))
+    a, b = (latent[int(i)] for i in rng.integers(len(latent), size=2))
+    if kind == 0:
+        return MixedChainGraph(
+            g.latent, g.observed, g.directed_latent ^ {(a, b)}, g.bidirected_latent,
+            g.directed_emit, g.bidirected_obs,
+        )
+    if kind == 1 and a != b:
+        return MixedChainGraph(
+            g.latent, g.observed, g.directed_latent, g.bidirected_latent ^ {tuple(sorted((a, b)))},
+            g.directed_emit, g.bidirected_obs,
+        )
+    f = g.observed[int(rng.integers(len(g.observed)))]
+    return MixedChainGraph(
+        g.latent, g.observed, g.directed_latent, g.bidirected_latent,
+        g.directed_emit ^ {(a, f)}, g.bidirected_obs,
+    )
+
+
+def test_graphs_equivalent_agrees_with_the_exhaustive_search(rng):
+    """On random pairs of up to 6 latents, each graph against a relabeling
+    of itself, perturbed by one edge or one state count half the time, the
+    backtracking search gives the exhaustive search's answer: the same
+    first bijection, or None."""
+    found = missed = 0
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        names = [f"L{i}" for i in range(n)]
+        density = rng.uniform(0.0, 0.6)
+        g1 = random_mixed_graph(
+            rng, names, ["F1", "F2"], p_dir=density, p_bidir=density, p_emit=density
+        )
+        nu = dict(zip(names, rng.permutation(names).tolist()))
+        g2 = relabeled(g1, nu)
+        cards1 = {a: int(c) for a, c in zip(names, rng.integers(2, 4, size=n))}
+        cards2 = {nu[a]: c for a, c in cards1.items()}
+        if rng.random() < 0.5:
+            if rng.random() < 0.8:
+                g2 = toggled(g2, rng)
+            else:
+                cards2[names[0]] += 1
+        want = brute_graphs_equivalent(g1, g2, cards1, cards2)
+        assert graphs_equivalent(g1, g2, cards1, cards2) == want
+        assert graphs_equivalent(g1, g2) == brute_graphs_equivalent(g1, g2)
+        found += want is not None
+        missed += want is None
+    assert found > 50 and missed > 50
+
+
+@pytest.mark.parametrize("case", ["chain-reversed", "bidirected-edge-added", "cycle-split"])
+def test_graphs_equivalent_refuses_large_inequivalent_pairs_at_once(case):
+    """12 latents admit 12! relabelings, which the exhaustive search cannot
+    try; a pair whose node signatures differ, or whose partial maps break
+    an edge early, is refused in well under a second."""
+    names = [f"L{i:02d}" for i in range(12)]
+    if case == "chain-reversed":
+        steps = list(zip(names, names[1:]))
+        g1 = MixedChainGraph.build(names, ("F1",), directed_latent=steps, emit=[("L00", "F1")])
+        g2 = MixedChainGraph.build(
+            names, ("F1",), directed_latent=[(b, a) for a, b in steps], emit=[("L00", "F1")]
+        )
+    elif case == "bidirected-edge-added":
+        g1 = MixedChainGraph.build(names, ("F1",), emit=[(a, "F1") for a in names])
+        g2 = MixedChainGraph.build(
+            names, ("F1",), bidirected_latent=[("L00", "L01")], emit=[(a, "F1") for a in names]
+        )
+    else:
+        # one 12-cycle against two 6-cycles: every node has the same signature
+        emit = [(a, "F1") for a in names]
+        g1 = MixedChainGraph.build(names, ("F1",), zip(names, names[1:] + names[:1]), emit=emit)
+        halves = [names[:6], names[6:]]
+        split = [(h[i], h[(i + 1) % 6]) for h in halves for i in range(6)]
+        g2 = MixedChainGraph.build(names, ("F1",), split, emit=emit)
+    start = time.perf_counter()
+    assert graphs_equivalent(g1, g2) is None
+    assert time.perf_counter() - start < 1.0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from mhmm import BASELINE, DomainError, VariableScheme
 from mhmm.schemes import validate_categories
+from helpers import loop_aggregator
 
 
 def test_state_order_row_major_last_fastest():
@@ -70,3 +73,20 @@ def test_validate_categories_accepts_and_rejects():
         validate_categories(s, np.array([[0, 1]]))
     with pytest.raises(DomainError):
         validate_categories(s, np.array([1, 2]))
+
+
+@pytest.mark.parametrize("n_vars", [1, 2, 3, 4])
+def test_margin_equals_the_loop_aggregator_for_every_subset(n_vars):
+    """For every scheme of n_vars variables with 2-4 categories each,
+    margin(positions) is the state-by-state 0/1 aggregation onto the
+    sub-scheme of those positions, byte for byte with the same strides; the
+    empty subset gives a column of ones."""
+    for counts in itertools.product((2, 3, 4), repeat=n_vars):
+        scheme = VariableScheme.of(*[(f"V{i + 1}", c) for i, c in enumerate(counts)])
+        for r in range(1, n_vars + 1):
+            for positions in itertools.combinations(range(n_vars), r):
+                sub = VariableScheme(tuple(scheme.variables[i] for i in positions))
+                got, want = scheme.margin(positions), loop_aggregator(scheme, sub)
+                assert (got.dtype, got.shape, got.strides) == (want.dtype, want.shape, want.strides)
+                assert got.tobytes() == want.tobytes()
+        assert scheme.margin(()).tobytes() == np.ones((scheme.n_states, 1)).tobytes()
