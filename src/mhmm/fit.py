@@ -32,22 +32,23 @@ E-step per row), and one helper, interactions._linalg_blocks, locates a
 numpy.linalg failure inside a stack: numpy raises for the whole stack, and
 only then the helper reruns the function once per block.
 
-A damping guard interpolates back toward the previous iterate whenever a
-full M-step would decrease the observed-data log-likelihood, which keeps the
-recorded trace monotone despite the ignored initial-law term. When no damped
-step avoids a decrease, the fit stops and reports that it did not converge.
+A damping guard keeps the recorded trace monotone despite the ignored
+initial-law term: a row whose candidate would decrease the observed-data
+log-likelihood evaluates, in its next round, the midpoint between that
+candidate and its accepted iterate instead. When 30 halvings do not avoid a
+decrease, the row stops and reports that it did not converge.
 
-EM runs in lock-step over rows. A row is one restart of one problem, and a
-problem is one constrained fit of the series with its own spaces, masks,
-label and FitOptions; em_fit fits one problem, modelspec.fit_specs several.
-Each EM iteration makes one batched M-step per group of running rows that
-share a space (by content) and a zero mask, transition tables first, then
-one batched E-step (model.expected_counts) over every running row that
-shares a latent scheme, and each damping halving one more E-step over the
-rows still decreasing. Only iterates that EM goes on from get expected
-counts: the stop rule (verdict) is applied once per iterate, in the E-step
+EM runs in lock-step rounds over rows. A row is one restart of one problem,
+and a problem is one constrained fit of the series with its own spaces,
+masks, label and FitOptions; em_fit fits one problem, modelspec.fit_specs
+several. Each round makes one batched E-step (model.expected_counts) over
+the pending candidates of every row that shares a latent scheme, whether
+start, M-step proposal or damped midpoint, then one batched M-step per group
+of the rows that go on and share a space (by content) and a zero mask,
+transition tables first. Only iterates that EM goes on from get expected
+counts: the stop rule (verdict) is applied once per candidate, in the E-step
 callback right after each row's forward pass, and its answer is stored on
-the iterate, so a row that stops, or a proposal to be damped, costs a
+the candidate, so a row that stops, or a candidate to be damped, costs a
 forward pass and no backward pass. An E-step stack is cut into chunks of at
 most ESTEP_STACK_BYTES of recursion buffers, but never below the largest
 restart count among its problems; an M-step stack into chunks whose k x k
@@ -565,6 +566,7 @@ class _Restart:
     state: _EmState | None = None  # last accepted iterate
     trace: list = field(default_factory=list)
     iterations: int = 0
+    halvings: int = 0  # damped midpoints since the last accepted iterate
     stop_reason: str = "max_iter"
     error: str | None = None
 
@@ -661,19 +663,22 @@ def _stack_rows(problems: list[_Problem], length: int) -> dict:
 
 
 def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Restart]]:
-    """EM for every (problem, restart) row in lock-step; one _Restart list per problem.
+    """EM for every (problem, restart) row in lock-step rounds; one _Restart
+    list per problem.
 
-    An iteration makes one batched_m_step per group of rows that share a
-    space and mask, then one batched E-step (expected_counts) over the
-    candidates of all rows that share a latent scheme, in chunks of
-    _stack_rows; each damping halving makes one more over the rows whose
-    log-likelihood still falls. One rule, verdict, decides after each
-    forward pass whether a row goes on (and so needs expected counts), is
-    damped or stops; the E-step stores its answer on the iterate, and the
-    damping and accept loops read it there. A row leaves the batch at its
-    problem's max_iter or tol, or when it stalls or raises NumericalError.
-    Rows of a batched E-step or M-step equal single-row ones bitwise, so
-    every row follows the path it would follow alone.
+    A round makes one batched E-step (expected_counts) over every pending
+    candidate, start iterates, M-step proposals and damped midpoints alike,
+    stacked per latent scheme in chunks of _stack_rows. One rule, verdict,
+    decides after each forward pass what the row does with its candidate,
+    and the E-step stores the answer on it: accept it and go on (only then
+    are expected counts formed), accept it and stop, stall, or halve back
+    toward the accepted iterate in the next round. The rows that go on then
+    make one batched_m_step per group that shares a space and mask, and
+    their proposals join the midpoints as the next round's candidates. A
+    row leaves the batch at its problem's max_iter or tol, or when it
+    stalls or raises NumericalError. Rows of a batched E-step or M-step
+    equal single-row ones bitwise, so every row evaluates the candidates
+    it would evaluate alone, in the same order.
     """
     grouped = [[_Restart(p, r) for r in range(p.options.restarts)] for p in problems]
     runs = [run for group in grouped for run in group]
@@ -751,60 +756,42 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
         }
 
     def verdict(i, log_lik):
-        """What row i does with a new iterate of this log-likelihood: None
-        when EM goes on from it, "falls" when it is to be damped, else the
-        stop reason ("tol", "max_iter"). A starting iterate always goes on."""
+        """What row i does with a candidate of this log-likelihood: None when
+        EM goes on from it, "falls" when the row halves back toward its
+        accepted iterate, "stalled" when 30 halvings have not kept the
+        log-likelihood from falling, else the stop reason ("tol",
+        "max_iter") with which the candidate is accepted. A start always
+        goes on."""
         run = runs[i]
         if run.state is None:
             return None
         previous = run.state.log_lik
         if log_lik < previous - 1e-12 * (1.0 + abs(previous)):
-            return "falls"
+            return "falls" if run.halvings < 30 else "stalled"
         if log_lik - previous <= run.problem.options.tol * (1.0 + abs(log_lik)):
             return "tol"
-        return None if iteration < run.problem.options.max_iter else "max_iter"
+        return None if run.iterations < run.problem.options.max_iter else "max_iter"
 
-    iteration = 0
-    active = e_step(
-        {i: candidate(run, *run.problem.start(run.restart)) for i, run in enumerate(runs)}
-    )
-    for i, state in active.items():
-        runs[i].state = state
-        runs[i].trace.append(state.log_lik)
-    while active:
-        iteration += 1
-        for i in active:
-            runs[i].iterations = iteration
-        proposals = e_step(m_steps(active))
-        falling = [i for i, state in proposals.items() if state.verdict == "falls"]
-        for _ in range(30):
-            if not falling:
-                break
-            retried = e_step({
-                i: candidate(
-                    runs[i],
-                    0.5 * (proposals[i].delta + runs[i].state.delta),
-                    0.5 * (proposals[i].theta + runs[i].state.theta),
-                )
-                for i in falling
-            })
-            proposals.update(retried)
-            falling = [i for i, state in retried.items() if state.verdict == "falls"]
-        active = {}
-        for i, state in proposals.items():
+    pending = {i: candidate(run, *run.problem.start(run.restart)) for i, run in enumerate(runs)}
+    while pending:
+        going_on, midpoints = {}, {}
+        for i, state in e_step(pending).items():
             run = runs[i]
-            if run.error is not None:
-                continue
             if state.verdict == "falls":
-                # no damped step keeps the likelihood from falling: a stall
-                run.stop_reason = "stalled"
+                run.halvings += 1
+                midpoints[i] = candidate(
+                    run, 0.5 * (state.delta + run.state.delta), 0.5 * (state.theta + run.state.theta)
+                )
                 continue
-            run.state = state
-            run.trace.append(state.log_lik)
+            if state.verdict != "stalled":
+                run.state, run.halvings = state, 0
+                run.trace.append(state.log_lik)
             if state.verdict is None:
-                active[i] = state
+                run.iterations += 1
+                going_on[i] = state
             else:
                 run.stop_reason = state.verdict
+        pending = {**m_steps(going_on), **midpoints}
     return grouped
 
 

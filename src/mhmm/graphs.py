@@ -401,8 +401,11 @@ def _edges(g: MixedChainGraph, a: str, b: str) -> tuple[bool, bool, bool]:
 
 def _signatures(g: MixedChainGraph, cards: dict[str, int]) -> dict[str, tuple]:
     """Per latent node, what a structure-preserving relabeling keeps: state
-    count, self-loop, directed out- and in-degree, bi-directed degree and
-    emitted observables."""
+    count, self-loop, directed out- and in-degree, bi-directed degree,
+    emitted observables, and the sizes of its connected components under
+    the bi-directed edges and under the directed edges taken undirected."""
+    bidirected = _component_sizes(g.latent, g.bidirected_latent)
+    directed = _component_sizes(g.latent, g.directed_latent)
     return {
         a: (
             cards.get(a, 2),
@@ -411,6 +414,27 @@ def _signatures(g: MixedChainGraph, cards: dict[str, int]) -> dict[str, tuple]:
             sum(head == a for _, head in g.directed_latent),
             sum(a in pair for pair in g.bidirected_latent),
             sorted(f for tail, f in g.directed_emit if tail == a),
+            bidirected[a],
+            directed[a],
         )
         for a in g.latent
     }
+
+
+def _component_sizes(nodes, edges) -> dict[str, int]:
+    """Per node, the size of its connected component when every edge is
+    taken as undirected."""
+    neighbours = {a: set() for a in nodes}
+    for a, b in edges:
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    sizes: dict[str, int] = {}
+    for a in nodes:
+        if a not in sizes:
+            component, frontier = {a}, [a]
+            while frontier:
+                new = neighbours[frontier.pop()] - component
+                component |= new
+                frontier.extend(new)
+            sizes.update(dict.fromkeys(component, len(component)))
+    return sizes

@@ -679,8 +679,7 @@ def simulate(model: MhmmModel, length: int, seed: int = 0):
 def _sub_scheme(scheme: VariableScheme, names=None) -> tuple[VariableScheme, np.ndarray]:
     """The named variables (by default all) as a scheme, in scheme order,
     and the margin map of the scheme's states onto it."""
-    keep = set(scheme.names if names is None else names)
-    positions = [i for i, name in enumerate(scheme.names) if name in keep]
+    positions = scheme.positions(scheme.names if names is None else names)
     return VariableScheme(tuple(scheme.variables[i] for i in positions)), scheme.margin(positions)
 
 

@@ -363,3 +363,22 @@ def test_graphs_equivalent_refuses_large_inequivalent_pairs_at_once(case):
     start = time.perf_counter()
     assert graphs_equivalent(g1, g2) is None
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_graphs_equivalent_refuses_a_long_cycle_against_two_short_ones_at_once(seed):
+    """A bi-directed 16-cycle against two 8-cycles over shuffled latent
+    names, every latent emitting F1: all nodes share degree and emissions,
+    and the sorted names do not follow the edges, so only the component
+    sizes in the signature tell the graphs apart in time."""
+    names = [f"L{i:02d}" for i in range(16)]
+    order = [str(a) for a in np.random.default_rng(seed).permutation(names)]
+    emit = [(a, "F1") for a in names]
+    cycle = [(order[i], order[(i + 1) % 16]) for i in range(16)]
+    halves = [order[:8], order[8:]]
+    split = [(h[i], h[(i + 1) % 8]) for h in halves for i in range(8)]
+    g1 = MixedChainGraph.build(names, ("F1",), bidirected_latent=cycle, emit=emit)
+    g2 = MixedChainGraph.build(names, ("F1",), bidirected_latent=split, emit=emit)
+    start = time.perf_counter()
+    assert graphs_equivalent(g1, g2) is None
+    assert time.perf_counter() - start < 1.0

@@ -682,6 +682,22 @@ def test_marginal_model_check_rejects_entangled_chain(rng):
     assert sub.transition.sum(axis=1) == approx(np.ones(2))
 
 
+def test_marginal_model_rejects_an_unknown_name(rng):
+    latent = VariableScheme.of(("E1", 2), ("E2", 2))
+    obs = VariableScheme.of(("F1", 2), ("F2", 2))
+    m = random_model(rng, latent, obs)
+    with pytest.raises(DomainError, match=r"unknown variables \['Fx'\]; scheme has \('F1', 'F2'\)"):
+        marginal_model(m, ["E1", "E2"], ["F1", "Fx"], check=False)
+
+
+def test_joint_law_rejects_an_unknown_name(rng):
+    latent = VariableScheme.of(("E1", 2), ("E2", 2))
+    obs = VariableScheme.of(("F1", 2), ("F2", 2))
+    m = random_model(rng, latent, obs)
+    with pytest.raises(DomainError, match=r"unknown variables \['typo'\]; scheme has \('E1', 'E2'\)"):
+        joint_law(m, 1, ["E1", "typo"], ["F2"])
+
+
 def test_joint_law_sums_to_one(rng):
     m = random_model(rng, VariableScheme.of(("E1", 2)), OBS1)
     law = joint_law(m, 3)
