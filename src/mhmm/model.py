@@ -130,7 +130,9 @@ def _check_stochastic(name: str, table: np.ndarray) -> np.ndarray:
             f"{name} table rows must sum to 1 within {STOCHASTIC_TOL:.0e}; "
             f"worst deviation {np.max(np.abs(sums - 1.0)):.3e}"
         )
-    return table / sums[..., None]
+    # C order, so that a lone model's kernels make the BLAS calls of its row
+    # in a stack (np.stack keeps each table's layout)
+    return np.ascontiguousarray(table / sums[..., None])
 
 
 @dataclass(frozen=True)
@@ -174,7 +176,9 @@ class MhmmModel:
 # in the same order as it would a single model, so a row of the stack is
 # bitwise the result of that model alone. The forward pass also stacks time
 # blocks as rows (_forward), and the same guarantee makes a checked block
-# exact.
+# exact. The backward pass stays a step loop; a single model runs it on 2-D
+# arrays through np.dot, the same BLAS gemv that a stacked row makes
+# (_backward).
 
 
 def _emission_columns(models, series: ObservedSeries, length: int) -> np.ndarray:
@@ -290,19 +294,30 @@ def _steps(transition, alpha, b, scales, lo: int, hi: int) -> None:
 
 
 def _backward(models, b: np.ndarray, scales: np.ndarray) -> np.ndarray:
-    """Scaled backward pass matching _forward's scales, shape (T, R, n)."""
+    """Scaled backward pass matching _forward's scales, shape (T, R, n).
+
+    Each step is beta[t] = P (b[t + 1] * beta[t + 1]) / scale[t + 1]. A
+    stack runs it as (R, n, n) @ (R, n, 1) column matmuls, which numpy
+    evaluates as one BLAS gemv per row. A single model runs it on 2-D
+    arrays through np.dot of its (n, n) table, C-ordered as MhmmModel
+    stores it, and an (n,) vector: the same gemv at a fraction of the
+    stacked call's overhead, so its beta is bitwise its row in a stack."""
     T, R, n = b.shape
-    transition = np.stack([model.transition for model in models])
-    beta = np.empty((T, R, n, 1))
+    if R == 1:
+        transition = models[0].transition
+        beta, ahead = np.empty((T, n)), np.empty(n)
+        product, b_ahead, scale_ahead = np.dot, b[::-1, 0], scales[::-1, 0]
+    else:
+        transition = np.stack([model.transition for model in models])
+        beta, ahead = np.empty((T, R, n, 1)), np.empty((R, n, 1))
+        product = np.matmul
+        b_ahead, scale_ahead = b[::-1, :, :, None], scales[::-1, :, None, None]
     beta[-1] = 1.0
-    ahead = np.empty((R, n, 1))
-    matmul, multiply, divide = np.matmul, np.multiply, np.divide
+    multiply, divide = np.multiply, np.divide
     with np.errstate(divide="ignore", invalid="ignore"):
-        for cur, nxt, b_next, scale in zip(
-            beta[-2::-1], beta[::-1], b[::-1, :, :, None], scales[::-1, :, None, None]
-        ):
+        for cur, nxt, b_next, scale in zip(beta[-2::-1], beta[::-1], b_ahead, scale_ahead):
             multiply(b_next, nxt, ahead)
-            matmul(transition, ahead, cur)
+            product(transition, ahead, cur)
             divide(cur, scale, cur)
     return beta.reshape(T, R, n)
 
@@ -400,8 +415,9 @@ def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
     backward pass. Each row equals the single-model recursion bitwise.
     The forward pass runs in time blocks checked bit for bit against the
     exact boundaries (_forward); the backward pass is a step loop, since
-    the scaled beta does not forget its start bit for bit. Emission counts
-    are one bincount per row.
+    the scaled beta does not forget its start bit for bit, and for a single
+    wanted row it runs on 2-D arrays through np.dot, the gemv a stacked row
+    makes (_backward). Emission counts are one bincount per row.
 
     Working set: b, alpha and beta of the stack (3 T n floats a row), then,
     one row at a time, gamma (T n floats) and one block of pair posteriors

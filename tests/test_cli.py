@@ -259,6 +259,22 @@ def test_compare_exits_3_with_the_first_failing_spec_in_order(tmp_path, monkeypa
     assert capsys.readouterr().err == f"error:numeric: {messages[0]}\n"
 
 
+def test_compare_rejects_a_reference_over_another_latent_scheme(tmp_path, capsys):
+    # both specs are saturated, so neither zeroes a coordinate; a 6-state
+    # latent chain and a 4-state one are still not nested
+    data = simulate_two_var_series(tmp_path)
+    quick = TINY_FULLDEP.replace("option max_iter 120", "option max_iter 3")
+    big = write_spec(tmp_path, "big", quick.replace("latent E1 2", "latent E1 3"))
+    small = write_spec(tmp_path, "a", quick)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--spec", str(big), "--spec", str(small), "--data", str(data)]
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:domain: model 'a' is not nested in 'big': ")
+    assert "latent E1(2), E2(2)" in err and "latent E1(3), E2(2)" in err
+    assert not (out / "comparison.csv").exists()
+
+
 # sha256 of the artifacts of the fit below, recorded once each EM table was
 # floored and normalized once and the initial law derived by the model
 # constructor alone

@@ -2,6 +2,9 @@ import csv
 import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +169,66 @@ def test_batched_e_step_rows_equal_single_model_calls(latent_counts):
             for model, row in zip(stack, rows):
                 assert_same_counts(row, expected_counts([model], series)[0])
                 assert_same_counts(row, counts_from_posteriors(model, series))
+
+
+def model_with_zero_emissions(rng, latent, observed, order):
+    """random_model with about a third of its emission cells exactly zero,
+    every row and every category keeping a positive cell, built from
+    tables in C or F order."""
+    n, cells = latent.n_states, observed.n_states
+    zero = rng.random((n, cells)) < 0.35
+    zero[rng.integers(n, size=cells), np.arange(cells)] = False
+    zero[np.arange(n), rng.integers(cells, size=n)] = False
+    emission = np.where(zero, 0.0, random_rows(rng, n, cells))
+    emission /= emission.sum(axis=1, keepdims=True)
+    transition = random_rows(rng, n, n)
+    tables = (np.asarray(table, order=order) for table in (transition, emission))
+    return MhmmModel(latent, observed, *tables)
+
+
+def lone_backward_mismatches() -> list:
+    """Cases where a lone model's forward or backward pass is not bitwise
+    its row in a stack of two, over n = 2..27 latent states, T = 1..500,
+    emission columns with exact zeros, and tables given in C or F order."""
+    rng = np.random.default_rng(20)
+    observed = VariableScheme.of(("F1", 3), ("F2", 2))
+    missed = []
+    for counts in [(2,), (3,), (2, 2), (3, 3), (2, 2, 2, 2), (3, 3, 3)]:
+        latent = VariableScheme.of(*[(f"E{i}", c) for i, c in enumerate(counts)])
+        for length, orders in itertools.product((1, 2, 3, 500), ("CC", "CF", "FC", "FF")):
+            m, m2 = (model_with_zero_emissions(rng, latent, observed, o) for o in orders)
+            _, series = simulate(m, length, seed=int(rng.integers(1 << 30)))
+            b, alpha, scales = mhmm.model._forward([m, m2], series)
+            lone_b, lone_alpha, lone_scales = mhmm.model._forward([m], series)
+            lone = mhmm.model._backward([m], lone_b, lone_scales)
+            same = (
+                np.array_equal(lone_alpha[:, 0], alpha[:, 0])
+                and np.array_equal(lone_scales[:, 0], scales[:, 0])
+                and np.array_equal(lone[:, 0], mhmm.model._backward([m, m2], b, scales)[:, 0])
+            )
+            if not same:
+                missed.append((latent.n_states, length, orders))
+    return missed
+
+
+def test_lone_backward_is_its_row_in_a_stack():
+    """The one-model backward pass runs on 2-D arrays through np.dot and a
+    stack through stacked matmuls; each must make the same gemv."""
+    assert lone_backward_mismatches() == []
+    model = model_with_zero_emissions(np.random.default_rng(0), LAT1, OBS1, "F")
+    assert model.transition.flags.c_contiguous and model.emission.flags.c_contiguous
+
+
+def test_lone_backward_is_its_row_in_a_stack_with_one_blas_thread():
+    """The benchmark pins one BLAS thread, the test suite uses the default."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import test_model; print(test_model.lone_backward_mismatches())"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 # sha256 of expected_counts over a stack of three models, at lengths on and

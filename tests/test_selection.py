@@ -134,6 +134,23 @@ def test_lrt_rejects_non_nested_and_mismatched_data():
         lrt(inflated, full)
 
 
+def test_lrt_rejects_fits_over_other_schemes():
+    """Saturated fits zero nothing, so only their schemes tell a 3-state
+    latent chain, or a 3-category observable, from the full model's."""
+    lat3 = VariableScheme.of(("E1", 3))
+    full = fake_fit("big", -100.0, 14, ConstraintSet(lat3, OBS))
+    fewer_states = fake_fit("a", -101.0, 4, ConstraintSet(LAT, OBS))
+    with pytest.raises(DomainError, match="not nested") as info:
+        lrt(fewer_states, full)
+    assert str(info.value) == (
+        "model 'a' is not nested in 'big': latent E1(2), observed F1(2)"
+        " against latent E1(3), observed F1(2)"
+    )
+    more_categories = fake_fit("b", -101.0, 20, ConstraintSet(lat3, VariableScheme.of(("F1", 3))))
+    with pytest.raises(DomainError, match=r"'b' is not nested in 'big': .*observed F1\(3\) "):
+        lrt(more_categories, full)
+
+
 def test_aic_forms():
     assert aic(-739.0426, 17) == approx(1512.0852)
     assert f"{aic(-739.0426, 17):.3f}" == "1512.085"
