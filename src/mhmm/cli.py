@@ -6,9 +6,10 @@ on stderr; exit status is 0 on success, 2 on domain/parse errors and
 exhausted memory, 3 on numerical failures. Reports print with fixed
 4-decimal precision; CSV artifacts keep full precision. All randomness
 flows from the seed option (default 0), so identical inputs give
-byte-identical outputs. compare fits
+byte-identical outputs. compare refuses specs that do not nest in the
+first one (constraints.check_nested) before it reads the data, then fits
 all its specs in one lock-step EM (modelspec.fit_specs); its tables and its
-errors are those of fitting the specs one after another.
+fitting errors are those of fitting the specs one after another.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .constraints import count_free_parameters, total_parameter_count
+from .constraints import check_nested, count_free_parameters, total_parameter_count
 from .errors import MhmmError, NumericalError, ParseError
 from .fit import FitResult
 from .graphs import graphs_equivalent
@@ -155,6 +156,10 @@ def _cmd_compare(args) -> int:
     repeated = next((label for label in labels if labels.count(label) > 1), None)
     if repeated is not None:
         raise ParseError(f"compare labels must be distinct; {repeated!r} is repeated")
+    # refuse a ladder that does not nest before any EM runs
+    compiled = [spec.compile() for spec in specs]
+    for spec, constraints in zip(specs, compiled):
+        check_nested(constraints, compiled[0], (spec.label, specs[0].label))
     series = _read_series(args.data, specs[0])
     fits = fit_specs(specs, series)
     table = model_table(fits, reference=fits[0])

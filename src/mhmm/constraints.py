@@ -92,6 +92,22 @@ class ConstraintSet:
         return set(other.entries) <= set(self.entries)
 
 
+def check_nested(restricted: ConstraintSet, full: ConstraintSet, labels: tuple[str, str]) -> None:
+    """Raise DomainError unless the model of restricted is nested in that of
+    full: both have the same latent and observable schemes, and restricted
+    zeroes every index that full zeroes (and possibly more). labels name
+    the two models in the message."""
+    not_nested = f"model {labels[0]!r} is not nested in {labels[1]!r}"
+    schemes = restricted.latent_scheme, restricted.obs_scheme
+    if schemes != (full.latent_scheme, full.obs_scheme):
+        raise DomainError(
+            f"{not_nested}: latent {schemes[0]}, observed {schemes[1]}"
+            f" against latent {full.latent_scheme}, observed {full.obs_scheme}"
+        )
+    if not restricted.is_superset_of(full):
+        raise DomainError(not_nested)
+
+
 def _zero_blocks(cs, space, family, zeroed):
     """Zero every coefficient of a space whose (response margin P,
     conditioning margin Q) block satisfies zeroed(P, Q)."""

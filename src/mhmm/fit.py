@@ -32,6 +32,16 @@ E-step per row), and one helper, interactions._linalg_blocks, locates a
 numpy.linalg failure inside a stack: numpy raises for the whole stack, and
 only then the helper reruns the function once per block.
 
+The chart map from coefficients to probabilities has no closed form, so a
+Newton iteration inverts it (interactions._invert_rows). EM keeps with each
+iterate the free log-probabilities x that carry its coefficients, its
+chart point: the x of the inversion that built a start's or a damped
+midpoint's table (_probs_of), or the x where an M-step's Newton iteration
+ended. Each M-step starts there. Only a direct constrained_m_step or
+batched_m_step call, which has no chart point, starts with a cold
+inversion from the uniform law; for a start that cold inversion gives the
+same x bitwise.
+
 A damping guard keeps the recorded trace monotone despite the ignored
 initial-law term: a row whose candidate would decrease the observed-data
 log-likelihood evaluates, in its next round, the midpoint between that
@@ -72,13 +82,13 @@ from .errors import DomainError, NumericalError
 from .interactions import (
     InteractionSpace,
     InteractionTable,
+    _chart_of,
     _invert_rows,
     _jacobian_rows,
     _linalg_blocks,
     _softmax_rows,
     contrasts_from_table,
     interactions_from_table,
-    table_from_interactions,
 )
 from .model import MhmmModel, ObservedSeries, expected_counts, recursion_bytes
 from .schemes import VariableScheme
@@ -90,12 +100,12 @@ MSTEP_MAX_HALVINGS = 25
 
 # Bytes of the forward-backward buffers that one stacked E-step may hold:
 # b, alpha and beta, at most model.recursion_bytes a row (rows whose counts
-# are not wanted get no beta). Beyond them an E-step holds, for one row at a time,
-# its gamma (T n floats) and one block of pair posteriors of at most
-# model.PAIR_BLOCK_BYTES. A stack of rows is cut into chunks of this size,
-# but never below the largest restart count among its problems, since one
-# such fit already holds that many rows at once. A stacked M-step keeps its
-# k x k matrices within the same budget.
+# are not wanted get no beta). Beyond them an E-step holds one block of the
+# stack's pair posteriors, of at most model.PAIR_BLOCK_BYTES, and, for one
+# row at a time, its gamma (T n floats). A stack of rows is cut into chunks
+# of this size, but never below the largest restart count among its
+# problems, since one such fit already holds that many rows at once. A
+# stacked M-step keeps its k x k matrices within the same budget.
 ESTEP_STACK_BYTES = 32 * 2**20
 
 
@@ -328,7 +338,7 @@ def constrained_m_step(
     (result,) = batched_m_step(space, counts[None], mask, warm)
     if isinstance(result, NumericalError):
         raise result
-    return result
+    return result[:2]
 
 
 def batched_m_step(
@@ -336,6 +346,7 @@ def batched_m_step(
     counts: np.ndarray,
     mask: np.ndarray,
     warm: np.ndarray | None = None,
+    _chart: np.ndarray | None = None,
 ) -> list:
     """constrained_m_step on a stack of count tables that share a space and mask.
 
@@ -344,11 +355,18 @@ def batched_m_step(
     lock-step: each stage of the iteration is one stacked computation over
     the rows still iterating, while every decision (observed or ridged
     expected information, solve, line search, exit) is taken per row.
-    Returns, per row, (theta_values, probs) or the NumericalError that
-    constrained_m_step raises on that table alone; each row equals that lone
-    call bitwise, under the same MSTEP_GTOL and MSTEP_MAX_ITER. Rows are
-    solved in chunks whose k x k matrices fit in ESTEP_STACK_BYTES, never
-    below one row. Raises DomainError on invalid counts.
+    Returns, per row, (theta_values, probs, x) or the NumericalError that
+    constrained_m_step raises on that table alone, where x holds the free
+    log-probabilities the iteration ended at (None for the closed form);
+    each row equals that lone call bitwise, under the same MSTEP_GTOL and
+    MSTEP_MAX_ITER. Rows are solved in chunks whose k x k matrices fit in
+    ESTEP_STACK_BYTES, never below one row. Raises DomainError on invalid
+    counts.
+
+    The iteration starts at the chart point of warm: EM hands it over as
+    _chart (rows, n_cond, n_columns), the free log-probabilities that carry
+    each row of warm, and only a call without one, as every direct call is,
+    finds it by a cold contrast inversion from the uniform law.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3:
@@ -356,16 +374,19 @@ def batched_m_step(
     problem = _MStepProblem(space, counts, mask)
     if not problem.mask.any():
         probs = _floored(problem.counts / problem.totals[..., None])
-        return list(zip(space.moebius @ contrasts_from_table(space, probs), probs))
+        theta = space.moebius @ contrasts_from_table(space, probs)
+        return [(theta_r, probs_r, None) for theta_r, probs_r in zip(theta, probs)]
     rows, k = len(counts), problem.mask.size
     theta = np.zeros((rows, *problem.mask.shape)) if warm is None else np.array(warm, dtype=float)
     theta[:, problem.mask] = 0.0
     # the informations hold up to three k x k matrices a row at once
     size = max(1, ESTEP_STACK_BYTES // (3 * 8 * k * k))
+    chart = None if _chart is None else np.asarray(_chart, dtype=float)
     out = []
     for lo in range(0, rows, size):
         chunk = np.arange(lo, min(lo + size, rows))
-        out += _newton_rows(problem.take(chunk), theta[chunk])
+        x = None if chart is None else chart[chunk]
+        out += _newton_rows(problem.take(chunk), theta[chunk], x)
     return out
 
 
@@ -384,14 +405,19 @@ class _Iterates:
         self.theta[rows], self.x[rows], self.probs[rows], self.value[rows] = theta, x, probs, value
 
 
-def _newton_rows(problem: _MStepProblem, theta: np.ndarray) -> list:
+def _newton_rows(problem: _MStepProblem, theta: np.ndarray, x: np.ndarray | None) -> list:
     """The iteration of constrained_m_step on every row of problem in
-    lock-step; each iteration scores its running rows once."""
+    lock-step; each iteration scores its running rows once. It starts at
+    the free log-probabilities x that carry theta, which EM keeps for every
+    iterate; without them (x None, a direct call) a cold inversion from the
+    uniform law finds them, and a row whose inversion fails drops out."""
     rows, n_cond, m = theta.shape
-    x, errors = problem.solve_states(theta.reshape(-1, m), None)
+    errors = {}
+    if x is None:
+        x, errors = problem.solve_states(theta.reshape(-1, m), None)
+        x = x.reshape(theta.shape)
     out = [errors.get(r) for r in range(rows)]
     alive = np.array([r for r, error in enumerate(out) if error is None], dtype=int)
-    x = x.reshape(theta.shape)
     probs = np.empty((rows, n_cond, m + 1))
     probs[alive] = _softmax_rows(x[alive])
     value = np.empty(rows)
@@ -426,7 +452,7 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray) -> list:
     for r, probs_r in zip(alive, floored):
         gnorm = float(it.gnorm[r])
         if not free.any() or gnorm < accept:
-            out[r] = (it.theta[r], probs_r)
+            out[r] = (it.theta[r], probs_r, it.x[r])
         else:
             out[r] = NumericalError(f"constrained M-step stalled with gradient norm {gnorm:.3e}")
     return out
@@ -517,6 +543,7 @@ class _EmState:
     delta: np.ndarray
     theta: np.ndarray
     model: MhmmModel
+    chart: tuple  # (delta, theta) free log-probabilities x that carry the coefficients
     log_lik: float = np.nan
     counts: tuple | None = None  # (transition, emission) expected counts
     verdict: str | None = None  # what EM does with this iterate (see _run_em.verdict)
@@ -580,11 +607,14 @@ class _Restart:
 
 
 def _probs_of(space, values):
+    """(floored table, x) of an iterate's coefficients, x the free
+    log-probabilities of the inversion that solved for the table."""
     try:
-        return _floored(table_from_interactions(InteractionTable(space, values)))
+        x, probs = _chart_of(InteractionTable(space, values))
     except DomainError as exc:
         # boundary trips during fitting are a numerical condition, restartable
         raise NumericalError(str(exc)) from exc
+    return _floored(probs), x
 
 
 def em_fit(
@@ -684,17 +714,19 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
     runs = [run for group in grouped for run in group]
     stack_rows = _stack_rows(problems, len(series))
 
-    def candidate(run, delta, theta, probs=None):
-        """The iterate at (delta, theta), or None once the row has failed."""
+    def candidate(run, delta, theta, tables=None):
+        """The iterate at (delta, theta), or None once the row has failed;
+        tables holds the (probs, x) of both tables when an M-step made them."""
         p = run.problem
         try:
-            if probs is None:
-                probs = _probs_of(p.dspace, delta), _probs_of(p.tspace, theta)
-            model = MhmmModel(p.latent_scheme, p.obs_scheme, *probs)
+            if tables is None:
+                tables = _probs_of(p.dspace, delta), _probs_of(p.tspace, theta)
+            (dprobs, dx), (tprobs, tx) = tables
+            model = MhmmModel(p.latent_scheme, p.obs_scheme, dprobs, tprobs)
         except NumericalError as exc:
             run.error = str(exc)
             return None
-        return _EmState(delta, theta, model)
+        return _EmState(delta, theta, model, (dx, tx))
 
     def e_step(states: dict) -> dict:
         """Batched E-steps, a chunked stack per latent scheme; drops the
@@ -731,8 +763,9 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
 
     def m_steps(states: dict) -> dict:
         """Batched M-steps, one batched_m_step call per group of rows that
-        share a space and mask, transition tables first; returns the
-        candidates of the rows that did not fail, in the order of states."""
+        share a space and mask, transition tables first, each started at its
+        iterate's chart point; returns the candidates of the rows that did
+        not fail, in the order of states."""
         fitted = {i: [] for i in states}
         for part in (0, 1):
             groups = {}
@@ -744,15 +777,18 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
             for space, mask, rows in groups.values():
                 counts = np.stack([states[i].counts[part] for i in rows])
                 warm = np.stack([(states[i].delta, states[i].theta)[part] for i in rows])
-                for i, result in zip(rows, batched_m_step(space, counts, mask, warm)):
+                # the closed form, where mask is empty, has no chart point
+                chart = np.stack([states[i].chart[part] for i in rows]) if mask.any() else None
+                for i, result in zip(rows, batched_m_step(space, counts, mask, warm, _chart=chart)):
                     if isinstance(result, NumericalError):
                         runs[i].error = str(result)
                         del fitted[i]
                     else:
                         fitted[i].append(result)
+        # each M-step result is (coefficients, probs, x)
         return {
-            i: candidate(runs[i], delta, theta, (dprobs, tprobs))
-            for i, ((delta, dprobs), (theta, tprobs)) in fitted.items()
+            i: candidate(runs[i], dstep[0], tstep[0], (dstep[1:], tstep[1:]))
+            for i, (dstep, tstep) in fitted.items()
         }
 
     def verdict(i, log_lik):

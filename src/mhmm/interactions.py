@@ -509,6 +509,13 @@ def table_from_interactions(table: InteractionTable) -> np.ndarray:
     positivity floor or a coefficient is not finite, and a numerical error
     on non-convergence.
     """
+    return _chart_of(table)[1]
+
+
+def _chart_of(table: InteractionTable) -> tuple[np.ndarray, np.ndarray]:
+    """(x, probs): the free log-probabilities that table_from_interactions
+    solves for, one row per conditioning state, and their table, under its
+    checks."""
     space = table.space
     if not np.all(np.isfinite(table.values)):
         row, col = np.argwhere(~np.isfinite(table.values))[0]
@@ -527,7 +534,7 @@ def table_from_interactions(table: InteractionTable) -> np.ndarray:
             f"interactions imply probability {probs[row, col]:.3e} below {PROB_FLOOR:.0e} "
             f"at state {space.response.states[col]} given {space.condition.states[row]}"
         )
-    return probs
+    return x, probs
 
 
 # -- serialization ----------------------------------------------------------------

@@ -339,36 +339,39 @@ def _state_posteriors(alpha, beta) -> np.ndarray:
 
 
 def _pair_posteriors(alpha, beta, scales, b, transition, lo: int, out: np.ndarray) -> None:
-    """Write xi[t], the posterior law of the pair (t, t + 1), of one model
-    into out[t - lo] for lo <= t < lo + len(out). Each xi[t] is formed on
-    its own, so any cut of the time axis into blocks gives the same bits."""
+    """Write xi[t], the posterior law of the pair (t, t + 1), into out[t - lo]
+    for lo <= t < lo + len(out): of one model from (T, n) recursions and an
+    (n, n) table, or of a stack of R models from time-major (T, R, n) ones
+    and (R, n, n) tables. Each xi[t] of each model is formed on its own by
+    elementwise operations, so any cut of the time axis into blocks, and any
+    stack, gives the same bits."""
     hi = lo + len(out)
-    ahead = (b[lo + 1 : hi + 1] * beta[lo + 1 : hi + 1]) / scales[lo + 1 : hi + 1, None]
-    np.multiply(alpha[lo:hi, :, None], transition, out)
-    out *= ahead[:, None, :]
-    out /= out.sum(axis=(1, 2), keepdims=True)
+    ahead = (b[lo + 1 : hi + 1] * beta[lo + 1 : hi + 1]) / scales[lo + 1 : hi + 1, ..., None]
+    np.multiply(alpha[lo:hi, ..., :, None], transition, out)
+    out *= ahead[..., None, :]
+    out /= out.sum(axis=(-2, -1), keepdims=True)
 
 
-def _pair_block(n: int) -> int:
-    """Pairs per block of the E-step's transition counts: PAIR_BLOCK_BYTES
-    of (n, n) tables, at least one."""
-    return max(1, PAIR_BLOCK_BYTES // (8 * n * n))
+def _pair_block(n: int, rows: int = 1) -> int:
+    """Pairs per block of the E-step's transition counts of rows models:
+    PAIR_BLOCK_BYTES of (rows, n, n) tables, at least one."""
+    return max(1, PAIR_BLOCK_BYTES // (8 * rows * n * n))
 
 
 def _transition_counts(alpha, beta, scales, b, transition) -> np.ndarray:
-    """Sum over t of xi[t], one block of pairs at a time.
+    """Sum over t of xi[t], one block of pairs at a time, for one model or
+    a stack (see _pair_posteriors): (n, n) or (R, n, n).
 
     numpy sums the first axis of a contiguous array one slice after the
     other, so carrying the running sum as slice 0 of each block reproduces
-    the sum of the whole (T - 1, n, n) stack bitwise, while at most one
-    block of it is alive."""
+    the sum of the whole (T - 1, ..., n, n) stack bitwise, while at most one
+    block of it is alive; each model's sum is the one it has alone."""
     pairs = len(b) - 1
     if pairs == 0:
         return np.ones_like(transition)
-    n = transition.shape[0]
-    step = _pair_block(n)
-    block = np.empty((min(step, pairs) + 1, n, n))
-    total = np.zeros((n, n))
+    step = _pair_block(transition.shape[-1], math.prod(transition.shape[:-2]))
+    block = np.empty((min(step, pairs) + 1, *transition.shape))
+    total = np.zeros(transition.shape)
     for lo in range(0, pairs, step):
         m = min(step, pairs - lo)
         block[0] = total
@@ -417,11 +420,15 @@ def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
     exact boundaries (_forward); the backward pass is a step loop, since
     the scaled beta does not forget its start bit for bit, and for a single
     wanted row it runs on 2-D arrays through np.dot, the gemv a stacked row
-    makes (_backward). Emission counts are one bincount per row.
+    makes (_backward). The transition counts of all wanted rows are summed
+    in one pass over time-major blocks of their pair posteriors
+    (_transition_counts); emission counts are one bincount per row.
 
-    Working set: b, alpha and beta of the stack (3 T n floats a row), then,
-    one row at a time, gamma (T n floats) and one block of pair posteriors
-    of at most PAIR_BLOCK_BYTES; no (T - 1, n, n) pair array is built.
+    Working set: b, alpha and beta of the stack (3 T n floats a row; when
+    some rows are declined, b and alpha of the wanted ones are copied),
+    one block of the wanted rows' pair posteriors of at most
+    PAIR_BLOCK_BYTES, and, one row at a time, gamma (T n floats); no
+    (T - 1, n, n) pair array is built.
     """
     b, alpha, scales = _forward(models, series)
     out, wanted = [], []
@@ -437,18 +444,18 @@ def expected_counts(models, series: ObservedSeries, needs_counts=None) -> list:
     if not wanted:
         return out
     sub = wanted if len(wanted) < len(models) else slice(None)
-    beta = _backward([models[r] for r in wanted], b[:, sub], scales[:, sub])
+    b, alpha, scales = b[:, sub], alpha[:, sub], scales[:, sub]
+    kept = [models[r] for r in wanted]
+    beta = _backward(kept, b, scales)
+    transition = np.stack([model.transition for model in kept])
+    counts_trans = _transition_counts(alpha, beta, scales, b, transition)
     f_idx = series.state_indices
-    for k, r in enumerate(wanted):
-        model = models[r]
-        counts_trans = _transition_counts(
-            alpha[:, r], beta[:, k], scales[:, r], b[:, r], model.transition
-        )
+    for k, (r, model) in enumerate(zip(wanted, kept)):
         # bincount sums each category's weights in time order, as add.at did
-        gamma = _state_posteriors(alpha[:, r], beta[:, k])
+        gamma = _state_posteriors(alpha[:, k], beta[:, k])
         n_obs = model.emission.shape[1]
         counts_emit = np.array([np.bincount(f_idx, column, n_obs) for column in gamma.T])
-        out[r] = (counts_trans, counts_emit, out[r][2])
+        out[r] = (counts_trans[k], counts_emit, out[r][2])
     return out
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .constraints import check_nested
 from .errors import DomainError, NumericalError
 from .fit import FitResult
 
@@ -112,24 +113,18 @@ class LrtOutcome:
 def lrt(restricted: FitResult, full: FitResult) -> LrtOutcome:
     """Likelihood-ratio test of a restricted model against a nesting one.
 
-    Nesting means both models have the same latent and observable schemes
-    and the restricted model zeroes every coordinate the full model zeroes
-    (and possibly more). With zero degrees of freedom the test is the
+    Nesting is constraints.check_nested: both models have the same latent
+    and observable schemes and the restricted model zeroes every coordinate
+    the full model zeroes (and possibly more). With zero degrees of freedom
+    the test is the
     degenerate point mass: p = 1 when the statistic vanishes.
     """
     if restricted.data_fingerprint != full.data_fingerprint:
         raise DomainError("cannot test models fitted to different data")
-    small, big = restricted.constraints, full.constraints
-    not_nested = (
-        f"model {restricted.label or 'restricted'!r} is not nested in {full.label or 'full'!r}"
+    check_nested(
+        restricted.constraints, full.constraints,
+        (restricted.label or "restricted", full.label or "full"),
     )
-    if (small.latent_scheme, small.obs_scheme) != (big.latent_scheme, big.obs_scheme):
-        raise DomainError(
-            f"{not_nested}: latent {small.latent_scheme}, observed {small.obs_scheme}"
-            f" against latent {big.latent_scheme}, observed {big.obs_scheme}"
-        )
-    if not small.is_superset_of(big):
-        raise DomainError(not_nested)
     df = full.par - restricted.par
     if df < 0:
         raise DomainError("nested model must not have more free parameters")

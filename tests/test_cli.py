@@ -275,12 +275,34 @@ def test_compare_rejects_a_reference_over_another_latent_scheme(tmp_path, capsys
     assert not (out / "comparison.csv").exists()
 
 
-# sha256 of the artifacts of the fit below, recorded once each EM table was
-# floored and normalized once and the initial law derived by the model
-# constructor alone
+def test_compare_refuses_a_ladder_that_does_not_nest_before_any_e_step(
+    tmp_path, monkeypatch, capsys
+):
+    # the saturated spec zeroes fewer coordinates than the noGranger reference
+    data = simulate_two_var_series(tmp_path)
+    reference = write_spec(tmp_path, "ng", TINY_NOGRANGER)
+    wider = write_spec(tmp_path, "sat", TINY_FULLDEP)
+    e_steps = []
+    real = mhmm.fit.expected_counts
+
+    def spy(*args, **kwargs):
+        e_steps.append(len(args[0]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mhmm.fit, "expected_counts", spy)
+    out = tmp_path / "cmp"
+    argv = ["compare", "--spec", str(reference), "--spec", str(wider), "--data", str(data)]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error:domain: model 'sat' is not nested in 'ng'\n"
+    assert e_steps == []
+    assert list(out.glob("comparison.*")) == []
+
+
+# sha256 of the artifacts of the fit below, recorded once each EM M-step
+# started from its iterate's chart point, not from a cold inversion
 GOLDEN_NOGRANGER = {
-    ".model": "ecdcc350eda30c063934b063b04586d33604da6df83fb0a689ff7cfbc7f4c982",
-    ".coefficients.txt": "cb3f4103e2fd53384300fcfaf7d34fa407589c3c56ec8139a2a8e655c4adc6c3",
+    ".model": "c9e98cb7600e76ce510372023728ffd601e5987ae643effc36554f934f159ce7",
+    ".coefficients.txt": "9755871419675954628ba0a1e99292ed0f68406f90aa790535bb662747607797",
 }
 
 
