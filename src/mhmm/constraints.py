@@ -88,9 +88,6 @@ class ConstraintSet:
         ia = sum(1 for fams in self.entries.values() if IA_FAMILY in fams)
         return non_ia + ia
 
-    def is_superset_of(self, other: "ConstraintSet") -> bool:
-        return set(other.entries) <= set(self.entries)
-
 
 def check_nested(restricted: ConstraintSet, full: ConstraintSet, labels: tuple[str, str]) -> None:
     """Raise DomainError unless the model of restricted is nested in that of
@@ -104,7 +101,7 @@ def check_nested(restricted: ConstraintSet, full: ConstraintSet, labels: tuple[s
             f"{not_nested}: latent {schemes[0]}, observed {schemes[1]}"
             f" against latent {full.latent_scheme}, observed {full.obs_scheme}"
         )
-    if not restricted.is_superset_of(full):
+    if not set(full.entries) <= set(restricted.entries):
         raise DomainError(not_nested)
 
 

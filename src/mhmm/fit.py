@@ -33,14 +33,14 @@ numpy.linalg failure inside a stack: numpy raises for the whole stack, and
 only then the helper reruns the function once per block.
 
 The chart map from coefficients to probabilities has no closed form, so a
-Newton iteration inverts it (interactions._invert_rows). EM keeps with each
-iterate the free log-probabilities x that carry its coefficients, its
-chart point: the x of the inversion that built a start's or a damped
-midpoint's table (_probs_of), or the x where an M-step's Newton iteration
-ended. Each M-step starts there. Only a direct constrained_m_step or
-batched_m_step call, which has no chart point, starts with a cold
-inversion from the uniform law; for a start that cold inversion gives the
-same x bitwise.
+Newton iteration inverts it (interactions._invert_rows). Every M-step
+starts at a chart point: coefficients together with the free
+log-probabilities x that carry them. EM keeps that point with each iterate:
+the x of the inversion that built a start's or a damped midpoint's table
+(_probs_of), or the x where an M-step's Newton iteration ended. A call
+without a start begins at the uniform law, where both are zero; the chart
+point of any other coefficients is interactions._chart_of, the one
+inversion from the uniform law.
 
 A damping guard keeps the recorded trace monotone despite the ignored
 initial-law term: a row whose candidate would decrease the observed-data
@@ -229,12 +229,11 @@ class _MStepProblem:
         part.counts, part.totals = self.counts[rows], self.totals[rows]
         return part
 
-    def solve_states(self, theta_values: np.ndarray, warm):
+    def solve_states(self, theta_values: np.ndarray, x0: np.ndarray, jac0: np.ndarray):
         """Free log-probabilities carrying the coefficient rows theta_values,
         in blocks of n_cond rows, one block per table, and the errors of the
-        blocks that failed (see _invert_rows), starting from the uniform law,
-        from warm = x or from warm = (x, the contrast Jacobians at x)."""
-        x0, jac0 = warm if isinstance(warm, tuple) else (warm, None)
+        blocks that failed (see _invert_rows), starting from x0, with the
+        contrast Jacobians jac0 at x0."""
         n_cond = self.space.condition.n_states
         eta = self.space.zeta @ theta_values.reshape(-1, n_cond, self.m)
         return _invert_rows(self.space, eta.reshape(-1, self.m), x0, n_cond, jac0)
@@ -315,7 +314,6 @@ def constrained_m_step(
     space: InteractionSpace,
     counts: np.ndarray,
     mask: np.ndarray,
-    warm: np.ndarray | None = None,
 ):
     """Maximize sum(counts * log p) subject to zeroed interaction coordinates.
 
@@ -330,12 +328,10 @@ def constrained_m_step(
     iteration also stops once the score norm in the free coordinates falls
     below MSTEP_GTOL, or after MSTEP_MAX_ITER iterations; both are read at
     call time. Raises NumericalError unless that norm ends below
-    max(MSTEP_GTOL, MSTEP_GTOL_ACCEPT). This is batched_m_step on one table.
+    max(MSTEP_GTOL, MSTEP_GTOL_ACCEPT). This is batched_m_step on one table,
+    started at the uniform law.
     """
-    counts = np.asarray(counts, dtype=float)
-    if warm is not None:
-        warm = np.asarray(warm, dtype=float)[None]
-    (result,) = batched_m_step(space, counts[None], mask, warm)
+    (result,) = batched_m_step(space, np.asarray(counts, dtype=float)[None], mask)
     if isinstance(result, NumericalError):
         raise result
     return result[:2]
@@ -345,13 +341,11 @@ def batched_m_step(
     space: InteractionSpace,
     counts: np.ndarray,
     mask: np.ndarray,
-    warm: np.ndarray | None = None,
-    _chart: np.ndarray | None = None,
+    start: tuple | None = None,
 ) -> list:
     """constrained_m_step on a stack of count tables that share a space and mask.
 
-    counts stacks the tables (rows, n_cond, n_cells), and warm, if given,
-    their starting coefficients (rows, n_cond, n_columns). The rows run in
+    counts stacks the tables (rows, n_cond, n_cells). The rows run in
     lock-step: each stage of the iteration is one stacked computation over
     the rows still iterating, while every decision (observed or ridged
     expected information, solve, line search, exit) is taken per row.
@@ -360,33 +354,38 @@ def batched_m_step(
     log-probabilities the iteration ended at (None for the closed form);
     each row equals that lone call bitwise, under the same MSTEP_GTOL and
     MSTEP_MAX_ITER. Rows are solved in chunks whose k x k matrices fit in
-    ESTEP_STACK_BYTES, never below one row. Raises DomainError on invalid
-    counts.
+    ESTEP_STACK_BYTES, never below one row.
 
-    The iteration starts at the chart point of warm: EM hands it over as
-    _chart (rows, n_cond, n_columns), the free log-probabilities that carry
-    each row of warm, and only a call without one, as every direct call is,
-    finds it by a cold contrast inversion from the uniform law.
+    The iteration starts at the chart point start = (theta, x), both of
+    shape (rows, n_cond, n_columns): starting coefficients, zero on mask,
+    and the free log-probabilities that carry them (see the module
+    docstring). Without a start it begins at the uniform law, theta = x = 0.
+    The closed form ignores start. Raises DomainError on invalid counts or
+    a malformed start.
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3:
         raise DomainError(f"stacked count tables need three axes, got shape {counts.shape}")
     problem = _MStepProblem(space, counts, mask)
+    shape = (len(counts), *problem.mask.shape)
+    if start is None:
+        theta, x = np.zeros(shape), np.zeros(shape)
+    else:
+        theta, x = (np.array(a, dtype=float) for a in start)
+        if theta.shape != shape or x.shape != shape:
+            raise DomainError(f"start of shapes {theta.shape} and {x.shape}, expected {shape}")
+        if np.any(theta[:, problem.mask] != 0.0):
+            raise DomainError("start coefficients are not zero on the zero mask")
     if not problem.mask.any():
         probs = _floored(problem.counts / problem.totals[..., None])
         theta = space.moebius @ contrasts_from_table(space, probs)
         return [(theta_r, probs_r, None) for theta_r, probs_r in zip(theta, probs)]
-    rows, k = len(counts), problem.mask.size
-    theta = np.zeros((rows, *problem.mask.shape)) if warm is None else np.array(warm, dtype=float)
-    theta[:, problem.mask] = 0.0
     # the informations hold up to three k x k matrices a row at once
-    size = max(1, ESTEP_STACK_BYTES // (3 * 8 * k * k))
-    chart = None if _chart is None else np.asarray(_chart, dtype=float)
+    size = max(1, ESTEP_STACK_BYTES // (3 * 8 * problem.mask.size**2))
     out = []
-    for lo in range(0, rows, size):
-        chunk = np.arange(lo, min(lo + size, rows))
-        x = None if chart is None else chart[chunk]
-        out += _newton_rows(problem.take(chunk), theta[chunk], x)
+    for lo in range(0, len(counts), size):
+        chunk = slice(lo, lo + size)
+        out += _newton_rows(problem.take(chunk), theta[chunk], x[chunk])
     return out
 
 
@@ -405,26 +404,16 @@ class _Iterates:
         self.theta[rows], self.x[rows], self.probs[rows], self.value[rows] = theta, x, probs, value
 
 
-def _newton_rows(problem: _MStepProblem, theta: np.ndarray, x: np.ndarray | None) -> list:
+def _newton_rows(problem: _MStepProblem, theta: np.ndarray, x: np.ndarray) -> list:
     """The iteration of constrained_m_step on every row of problem in
-    lock-step; each iteration scores its running rows once. It starts at
-    the free log-probabilities x that carry theta, which EM keeps for every
-    iterate; without them (x None, a direct call) a cold inversion from the
-    uniform law finds them, and a row whose inversion fails drops out."""
-    rows, n_cond, m = theta.shape
-    errors = {}
-    if x is None:
-        x, errors = problem.solve_states(theta.reshape(-1, m), None)
-        x = x.reshape(theta.shape)
-    out = [errors.get(r) for r in range(rows)]
-    alive = np.array([r for r, error in enumerate(out) if error is None], dtype=int)
-    probs = np.empty((rows, n_cond, m + 1))
-    probs[alive] = _softmax_rows(x[alive])
-    value = np.empty(rows)
-    value[alive] = problem.take(alive).loglik(probs[alive])
-    it = _Iterates(theta, x, probs, value, np.full(rows, np.inf))
+    lock-step, from the chart point (theta, x), x the free
+    log-probabilities that carry theta; each iteration scores its running
+    rows once."""
+    rows = len(theta)
+    probs = _softmax_rows(x)
+    it = _Iterates(theta, x, probs, problem.loglik(probs), np.full(rows, np.inf))
     free = problem.free
-    running = alive if free.any() else alive[:0]
+    running = np.arange(rows if free.any() else 0)
     for iteration in range(MSTEP_MAX_ITER + 1):
         if running.size == 0:
             break
@@ -448,13 +437,13 @@ def _newton_rows(problem: _MStepProblem, theta: np.ndarray, x: np.ndarray | None
             moved[retry] = _line_search(problem, it, running[retry], gradient[retry], score[3][retry])
         running = running[moved]
     accept = max(MSTEP_GTOL, MSTEP_GTOL_ACCEPT)
-    floored = _floored(it.probs[alive])
-    for r, probs_r in zip(alive, floored):
+    out = []
+    for r, probs_r in enumerate(_floored(it.probs)):
         gnorm = float(it.gnorm[r])
         if not free.any() or gnorm < accept:
-            out[r] = (it.theta[r], probs_r, it.x[r])
+            out.append((it.theta[r], probs_r, it.x[r]))
         else:
-            out[r] = NumericalError(f"constrained M-step stalled with gradient norm {gnorm:.3e}")
+            out.append(NumericalError(f"constrained M-step stalled with gradient norm {gnorm:.3e}"))
     return out
 
 
@@ -508,8 +497,9 @@ def _line_search(
         at = rows[pending]
         trial = it.theta[at]
         trial.reshape(at.size, -1)[:, free] += scale * steps[pending]
-        warm = it.x[at].reshape(-1, m), jac[pending].reshape(-1, m, m)
-        x_trial, errors = problem.solve_states(trial.reshape(-1, m), warm)
+        x_trial, errors = problem.solve_states(
+            trial.reshape(-1, m), it.x[at].reshape(-1, m), jac[pending].reshape(-1, m, m)
+        )
         inverted = np.ones(at.size, dtype=bool)
         inverted[list(errors)] = False
         x_trial = x_trial.reshape(at.size, n_cond, m)[inverted]
@@ -776,10 +766,13 @@ def _run_em(problems: list[_Problem], series: ObservedSeries) -> list[list[_Rest
                 groups.setdefault(key, (space, mask, []))[2].append(i)
             for space, mask, rows in groups.values():
                 counts = np.stack([states[i].counts[part] for i in rows])
-                warm = np.stack([(states[i].delta, states[i].theta)[part] for i in rows])
-                # the closed form, where mask is empty, has no chart point
-                chart = np.stack([states[i].chart[part] for i in rows]) if mask.any() else None
-                for i, result in zip(rows, batched_m_step(space, counts, mask, warm, _chart=chart)):
+                start = None  # the closed form, where mask is empty, has no chart point
+                if mask.any():
+                    start = (
+                        np.stack([(states[i].delta, states[i].theta)[part] for i in rows]),
+                        np.stack([states[i].chart[part] for i in rows]),
+                    )
+                for i, result in zip(rows, batched_m_step(space, counts, mask, start)):
                     if isinstance(result, NumericalError):
                         runs[i].error = str(result)
                         del fitted[i]

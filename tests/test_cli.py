@@ -231,10 +231,10 @@ def test_compare_exits_3_with_the_first_failing_spec_in_order(tmp_path, monkeypa
     # delta M-step, with a message that tells the two specs apart
     real = mhmm.fit.batched_m_step
 
-    def failing(space, counts, mask, warm=None, **kwargs):
+    def failing(space, counts, mask, start=None):
         if space.kind == "delta" and mask.any():
-            return [NumericalError(f"forced failure {np.abs(row).sum():.6f}") for row in warm]
-        return real(space, counts, mask, warm=warm, **kwargs)
+            return [NumericalError(f"forced failure {np.abs(row).sum():.6f}") for row in start[0]]
+        return real(space, counts, mask, start)
 
     monkeypatch.setattr(mhmm.fit, "batched_m_step", failing)
     data = simulate_two_var_series(tmp_path)

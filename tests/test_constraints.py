@@ -18,6 +18,7 @@ from mhmm import (
     total_parameter_count,
     user_zero_constraints,
 )
+from mhmm.constraints import check_nested
 from conftest import TRIAD_TABLE, PANEL_TABLE
 
 LAT = VariableScheme.of(("E1", 2), ("E2", 2))
@@ -160,8 +161,9 @@ def test_mask_matches_indices():
 def test_nesting_by_index_superset():
     small = graph_constraints(panel_graph(directed=(("E1", "E2"), ("E2", "E1"))), LAT, OBS)
     big = graph_constraints(panel_graph(), LAT, OBS)
-    assert big.is_superset_of(small)
-    assert not small.is_superset_of(big)
+    check_nested(big, small, ("big", "small"))
+    with pytest.raises(DomainError, match="model 'small' is not nested in 'big'"):
+        check_nested(small, big, ("small", "big"))
 
 
 @pytest.mark.parametrize("label", sorted(PANEL_TABLE))

@@ -43,7 +43,13 @@ from mhmm.fit import (
     canonical_state_orders,
     relabel_states,
 )
-from mhmm.interactions import InteractionIndex, InteractionTable, _softmax_rows
+from mhmm.interactions import (
+    InteractionIndex,
+    InteractionTable,
+    _chart_of,
+    _jacobian_rows,
+    _softmax_rows,
+)
 from helpers import dense_gradient_and_info, random_model, random_rows
 
 LAT = VariableScheme.of(("E1", 2), ("E2", 2))
@@ -180,10 +186,9 @@ def test_scoring_gradient_matches_central_differences(name, rng):
     theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
 
     def objective(values):
-        return problem.loglik(_softmax_rows(problem.solve_states(values, None)[0]))
+        return problem.loglik(_chart_of(InteractionTable(space, values))[1])
 
-    x, _ = problem.solve_states(theta, None)
-    g, _ = problem.gradient_and_info(_softmax_rows(x))
+    g, _ = problem.gradient_and_info(_chart_of(InteractionTable(space, theta))[1])
     h = 1e-5
     numeric = []
     for j in np.flatnonzero(problem.free):
@@ -205,11 +210,12 @@ def test_observed_information_matches_central_differences(name, rng):
     mask = rng.random((space.condition.n_states, space.n_columns)) < 0.3
     problem = _MStepProblem(space, counts, mask)
     theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
-    x, _ = problem.solve_states(theta, None)
+    x = _chart_of(InteractionTable(space, theta))[0]
+    jac = _jacobian_rows(space, _softmax_rows(x))
     free = np.flatnonzero(problem.free)
 
     def score(values):
-        probs = _softmax_rows(problem.solve_states(values, x)[0])
+        probs = _softmax_rows(problem.solve_states(values, x, jac)[0])
         return problem.gradient_and_info(probs)[0][free]
 
     _, info = problem.gradient_and_info(_softmax_rows(x), _curvature=True)
@@ -231,9 +237,9 @@ def test_m_step_stops_after_one_newton_and_one_gradient_failure(rng, monkeypatch
     trials = []
     solve_states = _MStepProblem.solve_states
 
-    def recording(self, theta_values, warm_x):
+    def recording(self, theta_values, x0, jac0):
         trials.append(theta_values.copy())
-        return solve_states(self, theta_values, warm_x)
+        return solve_states(self, theta_values, x0, jac0)
 
     monkeypatch.setattr(_MStepProblem, "solve_states", recording)
     monkeypatch.setattr(mhmm.fit, "MSTEP_GTOL", 0.0)
@@ -255,10 +261,9 @@ def test_line_search_inversions_start_from_the_scored_jacobians(monkeypatch):
     solve_states, jacobian_rows = _MStepProblem.solve_states, mhmm.interactions._jacobian_rows
     newton_steps, line_search = mhmm.fit._newton_steps, mhmm.fit._line_search
 
-    def spy_solve(self, theta_values, warm):
-        if warm is not None:
-            trials.append([{row.tobytes() for row in _softmax_rows(warm[0])}, 0, 0])
-        return solve_states(self, theta_values, warm)
+    def spy_solve(self, theta_values, x0, jac0):
+        trials.append([{row.tobytes() for row in _softmax_rows(x0)}, 0, 0])
+        return solve_states(self, theta_values, x0, jac0)
 
     def spy_jacobian(space, p):
         rows = [row.tobytes() for row in p.reshape(-1, p.shape[-1])]
@@ -315,8 +320,8 @@ def test_m_step_line_search_survives_a_singular_inversion_jacobian():
     counts = rng.integers(0, 50, size=(8, 8)).astype(float)
     rng.random((8, 8))
     counts[:, 0] += 1
-    warm = rng.uniform(-2, 2, mask.shape)
-    theta, probs = constrained_m_step(space, counts, mask, warm)
+    start = chart_point(space, np.where(mask, 0.0, rng.uniform(-2, 2, mask.shape))[None])
+    theta, probs, _ = batched_m_step(space, counts[None], mask, start)[0]
     assert np.all(theta[mask] == 0.0)
     assert np.allclose(probs.sum(axis=1), 1.0)
 
@@ -350,19 +355,27 @@ EMISSION_SPACE = InteractionSpace(OBS, LAT, "theta")
 ADDITIVE = additivity_constraints(LAT, OBS, "emission").mask(EMISSION_SPACE)
 
 
+def chart_point(space, thetas):
+    """The M-step start (thetas, x) of a stack of coefficient tables, x the
+    free log-probabilities that carry each table."""
+    return thetas, np.array([_chart_of(InteractionTable(space, theta))[0] for theta in thetas])
+
+
 def m_step_rows(cases):
-    """Count tables and warm starts, one per (seed, warm scale) case."""
+    """Count tables and M-step starts, one per (seed, start scale) case; the
+    starting coefficients are zero on ADDITIVE."""
     counts = [np.random.default_rng(seed).integers(1, 60, size=(4, 6)) for seed, _ in cases]
-    warm = [
+    thetas = [
         np.random.default_rng([seed, 1]).uniform(-scale, scale, ADDITIVE.shape)
         for seed, scale in cases
     ]
-    return np.array(counts, dtype=float), np.array(warm)
+    start = chart_point(EMISSION_SPACE, np.where(ADDITIVE, 0.0, np.array(thetas)))
+    return np.array(counts, dtype=float), start
 
 
-def lone_m_steps(counts, warm, monkeypatch):
-    """Each row's lone constrained_m_step: its result or error, and how many
-    observed and ridged expected informations it formed."""
+def lone_m_steps(counts, start, monkeypatch):
+    """Each row's lone M-step from its start: its result or error, and how
+    many observed and ridged expected informations it formed."""
     kinds = []
     real = _MStepProblem.gradient_and_info
 
@@ -373,12 +386,10 @@ def lone_m_steps(counts, warm, monkeypatch):
     out = []
     with monkeypatch.context() as patch:
         patch.setattr(_MStepProblem, "gradient_and_info", counting)
-        for row_counts, row_warm in zip(counts, warm):
+        for row_counts, row_theta, row_x in zip(counts, *start):
             kinds.clear()
-            try:
-                result = constrained_m_step(EMISSION_SPACE, row_counts, ADDITIVE, row_warm)
-            except NumericalError as exc:
-                result = exc
+            row_start = row_theta[None], row_x[None]
+            (result,) = batched_m_step(EMISSION_SPACE, row_counts[None], ADDITIVE, row_start)
             out.append((result, kinds.count(True), kinds.count(False)))
     return out
 
@@ -391,15 +402,16 @@ def assert_same_row(got, expected):
 
 
 def test_batched_m_step_rows_equal_lone_calls(monkeypatch):
-    # few and many Newton steps, ridged expected information, a warm start
-    # whose cold inversion fails
-    cases = [(0, 0.0), (0, 6.0), (0, 300.0), (3, 1.0), (4, 6.0)]
-    counts, warm = m_step_rows(cases)
-    lone = lone_m_steps(counts, warm, monkeypatch)
-    for got, (expected, _, _) in zip(batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm), lone):
+    # few and many Newton steps, ridged expected information, and a row
+    # that needs more Newton steps than MSTEP_MAX_ITER allows
+    cases = [(0, 0.0), (0, 6.0), (3, 1.0), (4, 6.0)]
+    counts, start = m_step_rows(cases)
+    monkeypatch.setattr(mhmm.fit, "MSTEP_MAX_ITER", 10)
+    lone = lone_m_steps(counts, start, monkeypatch)
+    for got, (expected, _, _) in zip(batched_m_step(EMISSION_SPACE, counts, ADDITIVE, start), lone):
         assert_same_row(got, expected)
-    failed = lone[2][0]
-    assert isinstance(failed, NumericalError) and "contrast inversion" in str(failed)
+    failed = lone[3][0]
+    assert isinstance(failed, NumericalError) and "M-step stalled" in str(failed)
     fitted = [row for row in lone if not isinstance(row[0], NumericalError)]
     assert len({newton for _, newton, _ in fitted}) > 1
     assert any(fisher for _, _, fisher in fitted) and not all(fisher for _, _, fisher in fitted)
@@ -413,70 +425,52 @@ def test_batched_m_step_rows_equal_lone_calls_at_the_float_floor(monkeypatch):
     # gtol=0 runs every row until its line searches fail, each at its own
     # step; at the float floor the flat-objective test decides row by row
     cases = [(3, 1.0), (5, 1.0), (6, 0.0), (0, 0.0), (8, 0.0), (7, 0.0), (1, 1.0), (3, 0.0)]
-    counts, warm = m_step_rows(cases)
+    counts, start = m_step_rows(cases)
     monkeypatch.setattr(mhmm.fit, "MSTEP_GTOL", 0.0)
-    lone = lone_m_steps(counts, warm, monkeypatch)
-    batched = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm)
+    lone = lone_m_steps(counts, start, monkeypatch)
+    batched = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, start)
     for got, (expected, _, _) in zip(batched, lone):
         assert_same_row(got, expected)
     assert len({newton for _, newton, _ in lone}) > 2
 
 
-def test_a_start_carries_the_x_of_the_cold_inversion():
-    """The free log-probabilities that built a start's table are bitwise
-    those the M-step's cold inversion finds for its coefficients, alone and
-    as a row of a stack."""
-    rng = np.random.default_rng(11)
-    granger = no_granger_constraints()[1].mask(DSPACE)
-    for space, mask in ((DSPACE, granger), (EMISSION_SPACE, ADDITIVE)):
-        thetas = np.where(mask, 0.0, rng.uniform(-0.5, 0.5, (3, *mask.shape)))
-        counts = np.ones((3, space.condition.n_states, space.response.n_states))
-        problem = _MStepProblem(space, counts, mask)
-        for stack in (thetas[:1], thetas):
-            x_cold, errors = problem.take(np.arange(len(stack))).solve_states(stack, None)
-            assert errors == {}
-            for theta, x in zip(stack, x_cold.reshape(stack.shape)):
-                assert np.array_equal(mhmm.fit._probs_of(space, theta)[1], x)
+@pytest.mark.parametrize("flaw", ["theta off the mask", "theta rows", "x columns"])
+def test_batched_m_step_refuses_a_malformed_start(flaw):
+    counts, (theta, x) = m_step_rows([(0, 1.0), (3, 1.0)])
+    if flaw == "theta off the mask":
+        theta[1][ADDITIVE] = 0.5
+    elif flaw == "theta rows":
+        theta = theta[:1]
+    else:
+        x = x[..., :-1]
+    with pytest.raises(DomainError, match="start"):
+        batched_m_step(EMISSION_SPACE, counts, ADDITIVE, (theta, x))
 
 
-def test_m_step_from_the_cold_chart_point_is_the_cold_m_step():
-    cases = [(0, 0.0), (0, 6.0), (3, 1.0), (4, 6.0)]
-    counts, warm = m_step_rows(cases)
-    warm[:, ADDITIVE] = 0.0
-    x, errors = _MStepProblem(EMISSION_SPACE, counts, ADDITIVE).solve_states(warm, None)
-    assert errors == {}
-    cold = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm)
-    charted = batched_m_step(EMISSION_SPACE, counts, ADDITIVE, warm, _chart=x.reshape(warm.shape))
-    for got, expected in zip(charted, cold):
-        assert len(got) == len(expected) == 3
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+def test_em_m_steps_get_a_start_wherever_a_mask_is_set(monkeypatch):
+    """Every constrained M-step inside em_fit and fit_specs starts at its
+    iterate's chart point, never at the uniform law of a call without one."""
+    calls = []
+    real = mhmm.fit.batched_m_step
 
+    def spy(space, counts, mask, start=None):
+        calls.append((mask.any(), start is not None))
+        return real(space, counts, mask, start)
 
-def test_em_m_steps_start_from_their_iterates_chart_points(monkeypatch):
-    """No M-step inside em_fit or fit_specs inverts its coefficients cold;
-    a direct call still does."""
-    starts = []
-    solve_states = _MStepProblem.solve_states
-
-    def spy(self, theta_values, warm):
-        starts.append(warm is not None)
-        return solve_states(self, theta_values, warm)
-
-    monkeypatch.setattr(_MStepProblem, "solve_states", spy)
+    monkeypatch.setattr(mhmm.fit, "batched_m_step", spy)
     _, series = simulate(generating_model(), 200, seed=3)
     em_fit(LAT, OBS, no_granger_constraints()[1], series, FitOptions(restarts=2, max_iter=4))
     fit_specs(
         [parse_model_spec(LADDER[name] + "option max_iter 3\n", label=name) for name in LADDER],
         series,
     )
-    assert starts and all(starts)
-    starts.clear()
-    constrained_m_step(EMISSION_SPACE, np.ones((4, 6)), ADDITIVE)
-    assert starts[0] is False
+    assert (True, True) in calls and (False, False) in calls
+    assert all(started for masked, started in calls if masked)
 
 
 # Both M-steps below stop at a score norm below MSTEP_GTOL = 1e-7, from
-# starts whose contrasts agree to interactions.NEWTON_TOL = 1e-10; with
+# the same coefficients with free log-probabilities whose contrasts agree
+# to interactions.NEWTON_TOL = 1e-10; with
 # informations of the order of the counts (1e2 to 1e3) their solutions lie
 # within about 1e-9 of each other, and the objective, flat at its optimum,
 # agrees far closer. Measured: 7.1e-15 and 4.5e-13 at most.
@@ -488,8 +482,9 @@ WARM_CHART_OBJECTIVE_RTOL = 1e-12
 @pytest.mark.parametrize("hypothesis", ["additivity", "ownEmit"])
 def test_warm_chart_m_step_agrees_with_the_cold_one_near_a_previous_optimum(table, hypothesis):
     """An EM M-step starts at the previous M-step's solution with new counts
-    nearby: started from that solution's chart point, it reaches the
-    cold-started solution within the stated tolerances, with exact zeros."""
+    nearby: started from the x where that solution's iteration ended, it
+    reaches the solution started from the x of an inversion from the uniform
+    law within the stated tolerances, with exact zeros."""
     space = DSPACE if table == "transition" else EMISSION_SPACE
     if hypothesis == "additivity":
         mask = additivity_constraints(LAT, OBS, table).mask(space)
@@ -502,8 +497,8 @@ def test_warm_chart_m_step_agrees_with_the_cold_one_near_a_previous_optimum(tabl
         before = rng.integers(5, 80, shape).astype(float)
         theta, _, x = batched_m_step(space, before[None], mask)[0]
         counts = before * rng.uniform(0.9, 1.1, shape)
-        warm = batched_m_step(space, counts[None], mask, theta[None], _chart=x[None])[0]
-        cold = batched_m_step(space, counts[None], mask, theta[None])[0]
+        warm = batched_m_step(space, counts[None], mask, (theta[None], x[None]))[0]
+        cold = batched_m_step(space, counts[None], mask, chart_point(space, theta[None]))[0]
         assert np.all(warm[0][mask] == 0.0) and np.all(cold[0][mask] == 0.0)
         assert warm[0] == approx(cold[0], rel=0, abs=WARM_CHART_THETA_ATOL)
         objective = _MStepProblem(space, counts, mask).loglik
