@@ -73,6 +73,7 @@ each restart ended.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,6 +91,7 @@ from .interactions import (
     contrasts_from_table,
     interactions_from_table,
 )
+from . import model as _model
 from .model import MhmmModel, ObservedSeries, expected_counts, recursion_bytes
 from .schemes import VariableScheme
 
@@ -97,6 +99,10 @@ MSTEP_GTOL = 1e-7
 MSTEP_GTOL_ACCEPT = 1e-5
 MSTEP_MAX_ITER = 200
 MSTEP_MAX_HALVINGS = 25
+# Newton iterations of a line-search trial's inversion. A trial starts at its
+# iterate's point and Jacobians, so a reachable trial converges in a few; one
+# that has not within these is counted as not inverted, and the step halves.
+MSTEP_TRIAL_INVERSION_ITER = 8
 
 # Bytes of the forward-backward buffers that one stacked E-step may hold:
 # b, alpha and beta, at most model.recursion_bytes a row (rows whose counts
@@ -233,10 +239,12 @@ class _MStepProblem:
         """Free log-probabilities carrying the coefficient rows theta_values,
         in blocks of n_cond rows, one block per table, and the errors of the
         blocks that failed (see _invert_rows), starting from x0, with the
-        contrast Jacobians jac0 at x0."""
+        contrast Jacobians jac0 at x0. A block fails too when it needs more
+        than MSTEP_TRIAL_INVERSION_ITER Newton iterations."""
         n_cond = self.space.condition.n_states
         eta = self.space.zeta @ theta_values.reshape(-1, n_cond, self.m)
-        return _invert_rows(self.space, eta.reshape(-1, self.m), x0, n_cond, jac0)
+        rows = eta.reshape(-1, self.m)
+        return _invert_rows(self.space, rows, x0, n_cond, jac0, max_iter=MSTEP_TRIAL_INVERSION_ITER)
 
     def loglik(self, probs: np.ndarray):
         return np.sum(self.counts * np.log(probs), axis=(-2, -1))
@@ -289,25 +297,24 @@ class _MStepProblem:
     def _curvature_blocks(self, probs: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Hessian in free log-probabilities x_e of sum_i h_e[i] eta_e[i](x_e).
 
-        eta_e = C log(M p_e), so with mg_e = M p_e, G_e = M dp_e/dx_e,
-        c_e = C^T h_e and w_e = M^T (c_e / mg_e) over all cells, this is
-        S_e - G_e^T diag(c_e / mg_e^2) G_e, where over free cells
-        S_e[a, b] = d_ab p_a (w_a - wbar) - p_a p_b (w_a + w_b - 2 wbar) and
-        wbar = p_e . w_e = sum(c_e) = 0, since every contrast row sums to
-        zero. Sandwiched by J_e^-1 it is the observed minus the expected
-        information of state e; it vanishes where the score does.
+        eta_e = C log(M p_e). With mg_e = M p_e, r_e = (C^T h_e) / mg_e, M_f
+        the free columns of M and pw_e = p_f (M_f^T r_e), the chain rule
+        gives S_e - G_e^T diag(r_e / mg_e) G_e, where S_e = diag(pw_e) -
+        pw_e p_f^T - p_f pw_e^T and G_e = M dp_e/dx_e = (M_f - mg_e 1^T)
+        diag(p_f). Every contrast row sums to zero, so r_e . mg_e = 0 and the
+        rank-one terms cancel, leaving diag(pw_e) - diag(p_f) M_f^T
+        diag(r_e / mg_e) M_f diag(p_f). Sandwiched by J_e^-1 it is the
+        observed minus the expected information of state e; it vanishes
+        where the score does.
         """
-        marg, contrast = self.space.marginalizer, self.space.contrast
-        p_free = probs[..., 1:]
-        mg = probs @ marg.T
-        dp = probs[..., :, None] * (np.eye(probs.shape[-1])[:, 1:] - p_free[..., None, :])
-        g = marg @ dp
-        ratio = (h @ contrast) / mg
-        pw = p_free * (ratio @ marg[:, 1:])
-        s = -(pw[..., :, None] * p_free[..., None, :] + p_free[..., :, None] * pw[..., None, :])
+        marg_free, p_free = self.space.marginalizer[:, 1:], probs[..., 1:]
+        mg = probs @ self.space.marginalizer.T
+        ratio = (h @ self.space.contrast) / mg
+        weighted = (marg_free.T * (ratio / mg)[..., None, :]) @ marg_free
+        out = -p_free[..., :, None] * weighted * p_free[..., None, :]
         diag = np.arange(self.m)
-        s[..., diag, diag] += pw
-        return s - g.swapaxes(-1, -2) @ ((ratio / mg)[..., :, None] * g)
+        out[..., diag, diag] += p_free * (ratio @ marg_free)
+        return out
 
 
 def constrained_m_step(
@@ -361,12 +368,14 @@ def batched_m_step(
     and the free log-probabilities that carry them (see the module
     docstring). Without a start it begins at the uniform law, theta = x = 0.
     The closed form ignores start. Raises DomainError on invalid counts or
-    a malformed start.
+    a malformed start, and, before allocating, on an M-step too large to
+    hold (see _refuse_oversized_m_step).
     """
     counts = np.asarray(counts, dtype=float)
     if counts.ndim != 3:
         raise DomainError(f"stacked count tables need three axes, got shape {counts.shape}")
     problem = _MStepProblem(space, counts, mask)
+    _refuse_oversized_m_step(space, problem.mask)
     shape = (len(counts), *problem.mask.shape)
     if start is None:
         theta, x = np.zeros(shape), np.zeros(shape)
@@ -387,6 +396,26 @@ def batched_m_step(
         chunk = slice(lo, lo + size)
         out += _newton_rows(problem.take(chunk), theta[chunk], x[chunk])
     return out
+
+
+def _refuse_oversized_m_step(space: InteractionSpace, mask: np.ndarray) -> None:
+    """Raise DomainError when an M-step on space under mask would hold more
+    than model.RECURSION_BYTES in the dense marginalizer plus contrast or,
+    where mask zeroes a coordinate, in one row's three k x k informations
+    (k = mask.size). The sizes come from the schemes, so nothing is
+    allocated first."""
+    margin_cells = math.prod(c + 1 for c in space.response.counts) - 1
+    operators = 8 * margin_cells * (space.response.n_states + space.n_columns)
+    sizes = {"the marginalizer and contrast": operators}
+    if np.any(mask):
+        sizes["one row's k x k informations"] = 3 * 8 * np.size(mask) ** 2
+    for what, size in sizes.items():
+        if size > _model.RECURSION_BYTES:
+            raise DomainError(
+                f"M-step on the {space.kind} space of ({space.response}) given "
+                f"({space.condition}): {what} need {size:,} bytes, above the limit "
+                f"of {_model.RECURSION_BYTES:,}"
+            )
 
 
 @dataclass
@@ -559,9 +588,12 @@ class _Problem:
             raise DomainError("series scheme does not match the observable scheme")
         dspace = InteractionSpace(latent_scheme, latent_scheme, "delta")
         tspace = InteractionSpace(obs_scheme, latent_scheme, "theta")
+        dmask, tmask = constraints.mask(dspace), constraints.mask(tspace)
+        _refuse_oversized_m_step(dspace, dmask)
+        _refuse_oversized_m_step(tspace, tmask)
         return cls(
             latent_scheme, obs_scheme, constraints, options or FitOptions(), label,
-            dspace, tspace, constraints.mask(dspace), constraints.mask(tspace),
+            dspace, tspace, dmask, tmask,
         )
 
     def start(self, restart: int):

@@ -190,11 +190,11 @@ class InteractionSpace:
     def locate(self, index: InteractionIndex) -> tuple[int, int]:
         if index.kind != self.kind:
             raise DomainError(f"index kind {index.kind!r} does not match space {self.kind!r}")
-        rims = [self.response.positions([name])[0] for name in index.response_vars]
+        rims = [self.response.position(name) for name in index.response_vars]
         rv = sorted(zip(rims, index.response_cats))
         P = tuple(i for i, _ in rv)
         fcats = tuple(c for _, c in rv)
-        qims = [self.condition.positions([name])[0] for name in index.cond_vars]
+        qims = [self.condition.position(name) for name in index.cond_vars]
         qv = sorted(zip(qims, index.cond_cats))
         Q = tuple(i for i, _ in qv)
         ecats = tuple(c for _, c in qv)
@@ -344,14 +344,12 @@ def _softmax_rows(x_free: np.ndarray) -> np.ndarray:
 def _jacobian_rows(space: InteractionSpace, p: np.ndarray) -> np.ndarray:
     """Per-row derivative of the contrast vector in free log-probability
     coordinates (cell 0 pinned at zero); rows along the last axis of p but
-    one, so (rows, n_cells) gives (rows, m, m). d(C log(M p))/dp is gathered
-    (InteractionSpace.jacobian_gather): each entry is one term +-1/margin or
-    zero, so it equals the dense product C diag(1 / M p) M bitwise."""
+    one, so (rows, n_cells) gives (rows, m, m). It is D (diag(p) - p p^T)
+    over the free cells, where each entry of D = d(C log(M p))/dp is one
+    term +-1/margin or zero (InteractionSpace.jacobian_gather). Every
+    contrast row sums to zero, so D p = 0: the Jacobian is D[:, free] p_free."""
     cell, sign = space.jacobian_gather
-    dlog = sign * (1.0 / (p @ space.marginalizer.T))[..., cell]
-    eye = np.eye(p.shape[-1])[:, 1:]
-    dp = p[..., :, None] * (eye - p[..., None, 1:])
-    return dlog @ dp
+    return sign[:, 1:] * (1.0 / (p @ space.marginalizer.T))[..., cell[:, 1:]] * p[..., None, 1:]
 
 
 def _invert_rows(
@@ -360,6 +358,7 @@ def _invert_rows(
     x0: np.ndarray | None = None,
     block: int | None = None,
     jac0: np.ndarray | None = None,
+    max_iter: int = NEWTON_MAX_ITER,
 ) -> tuple[np.ndarray, dict[int, NumericalError]]:
     """Solve for the distributions carrying the requested contrast rows.
 
@@ -375,6 +374,8 @@ def _invert_rows(
     the NumericalError of that block, and x holds every other block's
     solution. jac0 takes the Jacobians (rows, m, m) at the start, formed
     over whole blocks, for the first iteration to use if all rows are active.
+    A block still short of NEWTON_TOL after max_iter Newton iterations
+    fails.
     """
     target = np.asarray(target, dtype=float)
     rows, m = target.shape
@@ -396,7 +397,7 @@ def _invert_rows(
     err = np.abs(residual).max(axis=1)
     live = np.ones(rows, dtype=bool)
     errors = {}
-    for _ in range(NEWTON_MAX_ITER):
+    for _ in range(max_iter):
         # a NaN residual never compares as converged
         active = np.flatnonzero(live & ~(err <= NEWTON_TOL))
         if active.size == 0:
@@ -437,7 +438,7 @@ def _invert_rows(
         fail(active[pending], "contrast inversion stalled at residual {worst:.3e}")
     fail(
         np.flatnonzero(live & ~(err <= NEWTON_TOL)),
-        f"contrast inversion did not converge within {NEWTON_MAX_ITER} iterations; "
+        f"contrast inversion did not converge within {max_iter} iterations; "
         "residual {worst:.3e}",
     )
     return x, dict(sorted(errors.items()))

@@ -98,6 +98,17 @@ class VariableScheme:
         except KeyError:
             raise DomainError(f"state {tuple(state)} not in scheme {self.names}")
 
+    @cached_property
+    def _position(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
+    def position(self, name: str) -> int:
+        """0-based position of one variable name; raises as positions does."""
+        try:
+            return self._position[name]
+        except KeyError:
+            raise DomainError(f"unknown variables {[name]}; scheme has {self.names}") from None
+
     def positions(self, names) -> tuple[int, ...]:
         """0-based positions of the given variable names, in scheme order."""
         wanted = set(names)

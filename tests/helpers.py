@@ -254,6 +254,24 @@ def dense_jacobian_rows(space, p):
     return dlog @ dp
 
 
+def dense_curvature_blocks(space, probs, h):
+    """fit._MStepProblem._curvature_blocks by the chain rule through
+    G_e = M dp_e/dx_e, in place of its closed form: S_e - G_e^T diag(c_e /
+    mg_e^2) G_e with c_e = C^T h_e, w_e = M^T (c_e / mg_e) and, over free
+    cells, S_e[a, b] = d_ab p_a w_a - p_a p_b (w_a + w_b)."""
+    marg, contrast = space.marginalizer, space.contrast
+    p_free = probs[..., 1:]
+    mg = probs @ marg.T
+    dp = probs[..., :, None] * (np.eye(probs.shape[-1])[:, 1:] - p_free[..., None, :])
+    g = marg @ dp
+    ratio = (h @ contrast) / mg
+    pw = p_free * (ratio @ marg[:, 1:])
+    s = -(pw[..., :, None] * p_free[..., None, :] + p_free[..., :, None] * pw[..., None, :])
+    diag = np.arange(space.n_columns)
+    s[..., diag, diag] += pw
+    return s - g.swapaxes(-1, -2) @ ((ratio / mg)[..., :, None] * g)
+
+
 def dense_gradient_and_info(space, counts, probs):
     """M-step score and expected information in interaction coordinates,
     by inverting the full k x k chart Jacobian kron(moebius, I) blockdiag(J_e)."""

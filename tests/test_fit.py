@@ -37,6 +37,7 @@ from mhmm import (
 from mhmm.fit import (
     MSTEP_GTOL,
     MSTEP_MAX_HALVINGS,
+    MSTEP_TRIAL_INVERSION_ITER,
     _canonicalize,
     _MStepProblem,
     batched_m_step,
@@ -44,13 +45,16 @@ from mhmm.fit import (
     relabel_states,
 )
 from mhmm.interactions import (
+    NEWTON_MAX_ITER,
     InteractionIndex,
     InteractionTable,
     _chart_of,
+    _invert_rows,
     _jacobian_rows,
     _softmax_rows,
+    collapse_factorial,
 )
-from helpers import dense_gradient_and_info, random_model, random_rows
+from helpers import dense_curvature_blocks, dense_gradient_and_info, random_model, random_rows
 
 LAT = VariableScheme.of(("E1", 2), ("E2", 2))
 OBS = VariableScheme.of(("F1", 3), ("F2", 2))
@@ -198,6 +202,31 @@ def test_scoring_gradient_matches_central_differences(name, rng):
     assert g[problem.free] == approx(np.array(numeric), rel=1e-6, abs=1e-6)
 
 
+# The closed form and the chain rule through G_e differ by rounding only: a
+# few machine epsilons of each state's largest entry, which 1e-13 (about 450
+# epsilons) covers at these sizes.
+CURVATURE_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("name", SCORING_SPACES)
+def test_curvature_blocks_match_the_chain_rule_oracle(name, rng):
+    """The closed-form curvature blocks equal those of the chain rule
+    through G_e = M dp_e/dx_e (helpers.dense_curvature_blocks), at the
+    chart point and score of random coefficients under a random mask."""
+    space = SCORING_SPACES[name]
+    for _ in range(3):
+        counts, _, _ = scoring_point(space, rng)
+        mask = rng.random((space.condition.n_states, space.n_columns)) < 0.3
+        problem = _MStepProblem(space, counts, mask)
+        theta = np.where(mask, 0.0, rng.uniform(-0.3, 0.3, mask.shape))
+        probs = _chart_of(InteractionTable(space, theta))[1]
+        h = problem.score(probs)[2]
+        got, want = problem._curvature_blocks(probs, h), dense_curvature_blocks(space, probs, h)
+        assert got.shape == want.shape
+        scale = np.abs(want).max(axis=(-2, -1), keepdims=True)
+        assert np.all(np.abs(got - want) <= CURVATURE_RTOL * scale)
+
+
 # Central differences with step 1e-5 carry O(h^2) truncation and about
 # eps * |g| / h rounding, both far below 1e-6 of the largest entry.
 OBSERVED_INFO_RTOL = 1e-6
@@ -293,6 +322,46 @@ def test_line_search_inversions_start_from_the_scored_jacobians(monkeypatch):
     assert [at_start for _, at_start, _ in trials] == [0] * len(trials)
 
 
+def test_line_search_trial_inversions_stop_at_their_iteration_cap(monkeypatch):
+    """From a far start (coefficients up to 30, x taken from an inversion
+    without the probability floor) the line search meets trial points the
+    inner Newton cannot reach. Each trial inversion forms at most
+    MSTEP_TRIAL_INVERSION_ITER Jacobians, one per Newton iteration, and a
+    trial that would need more counts as not inverted, so its step halves:
+    spies count the Jacobians, which number under half of those formed when
+    trials may run NEWTON_MAX_ITER iterations."""
+    counts = np.random.default_rng(2).integers(1, 60, (4, 6)).astype(float)
+    theta = np.where(ADDITIVE, 0.0, np.random.default_rng([2, 1]).uniform(-30, 30, ADDITIVE.shape))
+    x = _invert_rows(EMISSION_SPACE, collapse_factorial(InteractionTable(EMISSION_SPACE, theta)))[0]
+    solve_states, jacobian_rows = _MStepProblem.solve_states, mhmm.interactions._jacobian_rows
+    formed, capped = [], []
+
+    def spy_solve(self, theta_values, x0, jac0):
+        formed.append(0)
+        out = solve_states(self, theta_values, x0, jac0)
+        capped.extend("did not converge" in str(error) for error in out[1].values())
+        return out
+
+    def spy_jacobian(space, p):
+        formed[-1] += 1
+        return jacobian_rows(space, p)
+
+    monkeypatch.setattr(_MStepProblem, "solve_states", spy_solve)
+    monkeypatch.setattr(mhmm.interactions, "_jacobian_rows", spy_jacobian)
+    monkeypatch.setattr(mhmm.fit, "MSTEP_MAX_ITER", 15)
+    start = theta[None], x[None]
+    (result,) = batched_m_step(EMISSION_SPACE, counts[None], ADDITIVE, start)
+    assert isinstance(result, NumericalError)
+    assert max(formed) <= MSTEP_TRIAL_INVERSION_ITER
+    assert any(capped)
+    with_cap = sum(formed)
+    formed.clear()
+    monkeypatch.setattr(mhmm.fit, "MSTEP_TRIAL_INVERSION_ITER", NEWTON_MAX_ITER)
+    batched_m_step(EMISSION_SPACE, counts[None], ADDITIVE, start)
+    assert max(formed) > MSTEP_TRIAL_INVERSION_ITER
+    assert 2 * with_cap < sum(formed)
+
+
 def test_m_step_converges_on_additivity_far_from_additive_rows():
     # Dirichlet(2) rows sit far from any additive table, where a
     # linear-rate iteration stalls just above the acceptance threshold
@@ -327,8 +396,9 @@ def test_m_step_line_search_survives_a_singular_inversion_jacobian():
 
 
 # sha256 over (theta, probs) of cold M-steps on Dirichlet(2) emission counts,
-# recorded with the one-table M-step that batched M-steps replaced
-GOLDEN_M_STEPS = "801d414db278901edfb1ebb60f3797dfedad09b4cef6de50eb7504cf6c14169a"
+# recorded once the chart Jacobian was a gather and the curvature blocks a
+# closed form
+GOLDEN_M_STEPS = "020e589a1ffdbec21af6a7c0c993bf349aa7452d2faa0bbe5c75c99fc9a248cc"
 
 
 def test_m_step_solutions_match_golden_digest():
@@ -623,11 +693,11 @@ def fit_digest(fit):
 
 
 # sha256 of FitResults whose restarts are damped and stop on tol, max_iter or
-# an error, recorded once each EM M-step started from its iterate's chart
-# point, not from a cold inversion
+# an error, recorded once the chart Jacobian was a gather, the curvature
+# blocks a closed form and line-search trial inversions capped
 GOLDEN_DAMPED_FITS = {
-    "saturated": "f5d416da4093e9f739be6f974f9e730c957e776187b22b3e7679527847741170",
-    "noGranger": "04763f649439b1c1baf021623a363779020e059ad6752d037433834d98ddc356",
+    "saturated": "815df68f9bffe2a6567c926bc1a97887c62901e57d7cbef272d164933dd97db4",
+    "noGranger": "01b56c8018e73f7239082a72370f9ef6d0f84af2eb96ebb5c6c790d2e535fcfd",
 }
 
 
@@ -648,7 +718,43 @@ def test_damped_and_stopped_fits_match_golden_digests(monkeypatch):
             # counts only for the iterates an M-step starts from
             assert sum(rows) == sum(record.iterations for record in fit.restarts)
         else:
-            assert [record.stop_reason for record in fit.restarts] == ["tol", "error", "tol"]
+            assert [record.stop_reason for record in fit.restarts] == ["tol", "error", "error"]
+
+
+def test_oversized_m_step_is_refused_before_allocating(monkeypatch):
+    """model.RECURSION_BYTES holds one row's three k x k informations,
+    3 * 8 * 20^2 = 9,600 bytes on the emission space under additivity, and
+    the dense marginalizer plus contrast, 8 * 11 * (6 + 5) = 968 bytes there.
+    A fit and a direct batched_m_step are refused before any inversion runs
+    or the marginalizer is built; a saturated M-step holds no k x k matrix."""
+    _, series = simulate(generating_model(), 20, seed=0)
+    additive = additivity_constraints(LAT, OBS, "emission")
+    counts = np.ones((1, 4, 6))
+
+    def allocating(*args):
+        raise AssertionError("allocated before the size check")
+
+    monkeypatch.setattr(mhmm.fit, "_invert_rows", allocating)
+    monkeypatch.setattr(InteractionSpace, "marginalizer", property(allocating))
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 9_600)
+    mhmm.fit._Problem.build(LAT, OBS, additive, series)
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 9_599)
+    k_by_k = (
+        r"^M-step on the theta space of \(F1\(3\), F2\(2\)\) given \(E1\(2\), E2\(2\)\): "
+        r"one row's k x k informations need 9,600 bytes, above the limit of 9,599$"
+    )
+    space = InteractionSpace(OBS, LAT, "theta")
+    with pytest.raises(DomainError, match=k_by_k):
+        batched_m_step(space, counts, ADDITIVE)
+    with pytest.raises(DomainError, match=k_by_k):
+        em_fit(LAT, OBS, additive, series, FitOptions(restarts=1))
+    mhmm.fit._Problem.build(LAT, OBS, ConstraintSet(LAT, OBS), series)
+    monkeypatch.setattr(mhmm.model, "RECURSION_BYTES", 967)
+    dense = "the marginalizer and contrast need 968 bytes, above the limit of 967$"
+    with pytest.raises(DomainError, match=dense):
+        batched_m_step(space, counts, np.zeros_like(ADDITIVE))
+    with pytest.raises(DomainError, match=dense):
+        em_fit(LAT, OBS, ConstraintSet(LAT, OBS), series, FitOptions(restarts=1))
 
 
 @pytest.mark.parametrize("name", ["saturated", "noGranger"])
